@@ -15,8 +15,6 @@ from .splitting import (
     FlowSchedule,
     PhaseState,
     ProcessedIntegrator,
-    adjoint_schedule,
-    apply_flow,
     build_kernel,
     build_processor,
     drift,
@@ -29,12 +27,9 @@ from .splitting import (
 )
 from .harmonic import (
     KernelSpectrum,
-    ProcessorPolys,
     TransferMatrix,
     expected_energy_error,
-    flow_matrix,
     leg_matrix,
-    processor_polys,
     rho,
     rho_norm,
     schedule_matrix,

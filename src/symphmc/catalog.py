@@ -57,8 +57,8 @@ def leapfrog_integrator() -> ProcessedIntegrator:
 
 
 def blcasa_integrator() -> ProcessedIntegrator:
-    """Unprocessed two-stage baseline: b = 0.381120, empty processors."""
-    return ProcessedIntegrator.symmetric(build_kernel(0.381120), FlowSchedule())
+    """Unprocessed two-stage baseline: the blcasa row's b, empty processors."""
+    return ProcessedIntegrator.symmetric(build_kernel(row_by_name("blcasa").b), FlowSchedule())
 
 
 def named_integrator(name: str) -> ProcessedIntegrator:

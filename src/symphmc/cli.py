@@ -27,7 +27,7 @@ from .errors import NoDescent
 from .fourth_order import POSITIVE_COEFFICIENTS, order_estimate, rowlands_leg
 from .harmonic import rho, rho_norm, stability_length
 from .hmc import HmcConfig, efficiency_curve
-from .splitting import PhaseState, processed_family
+from .splitting import PhaseState
 from .targets import anharmonic_model, gaussian_model
 from .tuning import tune
 
@@ -134,10 +134,6 @@ def _write_text(out: Optional[str], text: str) -> None:
         raise CliUsageError(f"cannot write {out!r}: {exc}") from exc
 
 
-def _row_integrator(row: catalog.ReferenceRow):
-    return processed_family(row.b, row.c or 0.0, row.d or 0.0)
-
-
 def default_h_grid(name: str, dim: int, points: int = 12) -> list[float]:
     """Geometric grid spanning 0.3 to 0.98 of the stability limit of the
     stiffest mode."""
@@ -151,7 +147,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     lines = []
     all_ok = True
     for row in catalog.REFERENCE_ROWS:
-        integ = _row_integrator(row)
+        integ = catalog.named_integrator(row.name)
         norm = rho_norm(integ, row.hbar)
         h_stab = stability_length(integ.kernel)
         ok_rho = norm <= row.rho_bound and norm >= row.rho_bound / 10.0
@@ -189,6 +185,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.integrator == "rowlands":
         raise CliUsageError("rowlands is not an HMC leg integrator; see rowlands-order")
     dim = int(cfg.dim) if cfg.dim is not None else 1024
+    if dim < 1:
+        raise CliUsageError(f"--dim must be >= 1, got {dim}")
     leg_time = float(cfg.leg_time) if cfg.leg_time is not None else 5.0
     seed = int(cfg.seed) if cfg.seed is not None else 1
     full = bool(cfg.full)
@@ -353,7 +351,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliUsageError as exc:
+    except (CliUsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NoDescent as exc:

@@ -12,17 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
 
+from .catalog import leapfrog_integrator
 from .errors import InsufficientSteps
 from .splitting import (
     ElementaryFlow,
     FlowKind,
     FlowSchedule,
     PhaseState,
+    _leg_flows,
     _run_flows,
     drift,
     kick,
@@ -47,9 +48,6 @@ POSITIVE_COEFFICIENTS = (
     KAPPA_ALPHA_2,
     KAPPA_BETA_2,
 )
-
-_VERLET_FLOWS = (kick(0.5), drift(1.0), kick(0.5))
-
 
 @dataclass(frozen=True)
 class RowlandsScheme:
@@ -93,6 +91,19 @@ def effective_kick_coefficient(f: ElementaryFlow, h: float) -> float:
     raise ValueError("drifts have no kick coefficient")
 
 
+def _run_leg(
+    state: PhaseState,
+    pre: FlowSchedule,
+    kernel: FlowSchedule,
+    n: int,
+    post: FlowSchedule,
+    h: float,
+    target: TargetModel,
+) -> PhaseState:
+    q, p = _run_flows(state.q, state.p, _leg_flows(pre, kernel, n, post), h, target)
+    return PhaseState(q, p)
+
+
 def rowlands_leg(
     state: PhaseState,
     h: float,
@@ -105,18 +116,7 @@ def rowlands_leg(
         raise InsufficientSteps("the processed leg needs n_steps >= 2")
     if scheme is None:
         scheme = rowlands_scheme()
-    flows = chain(
-        scheme.kappa.flows,
-        chain.from_iterable(repeat(scheme.kernel.flows, n_steps - 2)),
-        scheme.kappa_star.flows,
-    )
-    q, p = _run_flows(state.q, state.p, flows, h, target)
-    return PhaseState(q, p)
-
-
-def _plain_leg(state: PhaseState, flows_once, h: float, n_steps: int, target: TargetModel) -> PhaseState:
-    q, p = _run_flows(state.q, state.p, chain.from_iterable(repeat(flows_once, n_steps)), h, target)
-    return PhaseState(q, p)
+    return _run_leg(state, scheme.kappa, scheme.kernel, n_steps - 2, scheme.kappa_star, h, target)
 
 
 def order_estimate(
@@ -145,6 +145,7 @@ def order_estimate(
     if initial_state is None:
         initial_state = PhaseState(np.full(target.dim, 0.4), np.full(target.dim, 0.3))
     rs = rowlands_scheme()
+    verlet = leapfrog_integrator()
 
     if isinstance(target, GaussianModel):
         reference = target.exact_flow(initial_state, t_final)
@@ -158,9 +159,9 @@ def order_estimate(
         if scheme == "processed":
             out = rowlands_leg(initial_state, h, n, target, rs)
         elif scheme == "kernel":
-            out = _plain_leg(initial_state, rs.kernel.flows, h, n, target)
+            out = _run_leg(initial_state, FlowSchedule(), rs.kernel, n, FlowSchedule(), h, target)
         else:
-            out = _plain_leg(initial_state, _VERLET_FLOWS, h, n, target)
+            out = _run_leg(initial_state, verlet.pre, verlet.kernel, n, verlet.post, h, target)
         err = max(
             float(np.max(np.abs(out.q - reference.q))),
             float(np.max(np.abs(out.p - reference.p))),

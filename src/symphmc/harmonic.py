@@ -12,26 +12,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import UnstableStep
-from .splitting import ElementaryFlow, FlowKind, FlowSchedule, ProcessedIntegrator
-
-Entries = tuple  # (m11, m12, m21, m22), scalars or elementwise arrays
+from .splitting import FlowKind, FlowSchedule, ProcessedIntegrator
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Enum member lookups cost ~0.1 us each; schedule_matrix runs in rho's inner loop.
+_DRIFT, _KICK = FlowKind.DRIFT, FlowKind.KICK
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    m11: float
-    m12: float
-    m21: float
-    m22: float
 
-    def det(self) -> float:
+class TransferMatrix(NamedTuple):
+    """Oscillator map [[m11, m12], [m21, m22]]; the entries are scalars or
+    per-mode arrays (elementwise 2x2 maps)."""
+
+    m11: Any
+    m12: Any
+    m21: Any
+    m22: Any
+
+    def det(self):
         return self.m11 * self.m22 - self.m12 * self.m21
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
@@ -41,6 +44,18 @@ class TransferMatrix:
             self.m21 * other.m11 + self.m22 * other.m21,
             self.m21 * other.m12 + self.m22 * other.m22,
         )
+
+    def power(self, n: int) -> "TransferMatrix":
+        """self^n (n >= 0) by repeated squaring."""
+        one, zero = np.ones_like(self.m11), np.zeros_like(self.m11)
+        result = TransferMatrix(one, zero, zero, one)
+        base = self
+        while n:
+            if n & 1:
+                result = base @ result
+            base = base @ base
+            n >>= 1
+        return result
 
 
 @dataclass(frozen=True)
@@ -52,25 +67,16 @@ class KernelSpectrum:
     stable: bool
 
 
-@dataclass(frozen=True)
-class ProcessorPolys:
-    """Preprocessor matrix entries [[alpha, beta], [gamma, delta]] at a given h."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-
-def _schedule_entries(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> Entries:
-    """Entries of the schedule's oscillator map; h may be a scalar or array."""
+def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> TransferMatrix:
+    """Ordered product of the flow shears, in the order the flows act; h may
+    be a scalar or an array of step sizes."""
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     for f in schedule:
         c = f.coefficient * h
-        if f.kind is FlowKind.DRIFT:
+        if f.kind is _DRIFT:
             m11 = m11 + c * m21
             m12 = m12 + c * m22
-        elif f.kind is FlowKind.KICK:
+        elif f.kind is _KICK:
             m21 = m21 - c * m11
             m22 = m22 - c * m12
         else:
@@ -78,22 +84,7 @@ def _schedule_entries(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> En
                 "modified kicks have no fixed oscillator shear; "
                 "see the fourth-order module for their effective coefficient"
             )
-    return m11, m12, m21, m22
-
-
-def flow_matrix(f: ElementaryFlow, h: float) -> TransferMatrix:
-    """Shear of a single drift or kick: [[1, ah], [0, 1]] or [[1, 0], [-bh, 1]]."""
-    return TransferMatrix(*_schedule_entries(FlowSchedule((f,)), h))
-
-
-def schedule_matrix(schedule: FlowSchedule, h: float) -> TransferMatrix:
-    """Ordered product of the flow shears, in the order the flows act."""
-    return TransferMatrix(*_schedule_entries(schedule, h))
-
-
-def processor_polys(pre: FlowSchedule, h: float) -> ProcessorPolys:
-    m = schedule_matrix(pre, h)
-    return ProcessorPolys(m.m11, m.m12, m.m21, m.m22)
+    return TransferMatrix(m11, m12, m21, m22)
 
 
 def _is_stable(m11, m12, m21) -> bool:
@@ -123,7 +114,7 @@ def _first_instability(kernel: FlowSchedule, scan_step: float, h_cap: float) -> 
     for start in range(1, n_total + 1, chunk):
         stop = min(start + chunk, n_total + 1)
         hs = np.arange(start, stop, dtype=float) * scan_step
-        m11, m12, m21, _ = _schedule_entries(kernel, hs)
+        m11, m12, m21, _ = schedule_matrix(kernel, hs)
         stable = (np.abs(m11) < 1.0) & ((m12 * m21) < 0.0)
         if stable.all():
             prev_stable = float(hs[-1])
@@ -144,7 +135,7 @@ def stability_length(kernel: FlowSchedule, scan_step: float = 1e-3, tol: float =
     lo, hi = bracket
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        m11, m12, m21, _ = _schedule_entries(kernel, mid)
+        m11, m12, m21, _ = schedule_matrix(kernel, mid)
         if _is_stable(m11, m12, m21):
             lo = mid
         else:
@@ -179,8 +170,7 @@ def leg_matrix(integ: ProcessedIntegrator, h: float, n_steps: int) -> TransferMa
     theta = math.copysign(sp.theta, kernel.m12)
     big_c = math.cos(n_steps * theta)
     big_s = math.sin(n_steps * theta)
-    polys = processor_polys(integ.pre, h)
-    a_, b_, c_ = _sandwich(polys.alpha, polys.beta, polys.gamma, polys.delta, sp.chi, big_c, big_s)
+    a_, b_, c_ = _sandwich(*schedule_matrix(integ.pre, h), sp.chi, big_c, big_s)
     return TransferMatrix(a_, b_, c_, a_)
 
 
@@ -196,11 +186,11 @@ def rho(integ: ProcessedIntegrator, h: float) -> float:
     Returns +inf when the kernel is unstable at h, so the tuner's objective
     stays totally ordered.
     """
-    k11, k12, k21, _ = _schedule_entries(integ.kernel, h)
+    k11, k12, k21, _ = schedule_matrix(integ.kernel, h)
     if not _is_stable(k11, k12, k21):
         return math.inf
     chi = math.sqrt(k12 / -k21)
-    alpha, beta, gamma, delta = _schedule_entries(integ.pre, h)
+    alpha, beta, gamma, delta = schedule_matrix(integ.pre, h)
     cross = alpha * gamma + beta * delta
     spread = (delta * delta + gamma * gamma) * chi - (alpha * alpha + beta * beta) / chi
     return 2.0 * cross * cross + 0.5 * spread * spread
@@ -241,12 +231,12 @@ def _rho_profile(
     n = max(2, int(grid_points))
     hs = np.linspace(hbar / n, hbar, n)
 
-    k11, k12, k21, _ = _schedule_entries(integ.kernel, hs)
+    k11, k12, k21, _ = schedule_matrix(integ.kernel, hs)
     stable = (np.abs(k11) < 1.0) & ((k12 * k21) < 0.0)
     if not stable.all():
         return math.inf, math.inf, math.inf
     chi = np.sqrt(k12 / -k21)
-    alpha, beta, gamma, delta = _schedule_entries(integ.pre, hs)
+    alpha, beta, gamma, delta = schedule_matrix(integ.pre, hs)
     cross = alpha * gamma + beta * delta
     spread = (delta * delta + gamma * gamma) * chi - (alpha * alpha + beta * beta) / chi
     vals = 2.0 * cross * cross + 0.5 * spread * spread

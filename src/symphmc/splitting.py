@@ -138,10 +138,6 @@ class FlowSchedule:
         return math.fsum(_kick_weight(f) for f in self.flows)
 
 
-def adjoint_schedule(schedule: FlowSchedule) -> FlowSchedule:
-    return schedule.adjoint()
-
-
 @dataclass(frozen=True)
 class FamilyParams:
     """Provenance record for the two-stage processed family."""
@@ -271,20 +267,9 @@ def _run_flows(
     return q, p
 
 
-def apply_flow(state: PhaseState, f: ElementaryFlow, h: float, target: "TargetModel") -> PhaseState:
-    """Apply a single elementary flow over step h."""
-    if state.dim != target.dim:
-        raise ValueError(f"state dimension {state.dim} != target dimension {target.dim}")
-    q, p = _run_flows(state.q, state.p, (f,), h, target, fuse=False)
-    return PhaseState(q, p)
-
-
-def _leg_flow_iter(integ: ProcessedIntegrator, n_steps: int) -> Iterator[ElementaryFlow]:
-    return chain(
-        integ.pre.flows,
-        chain.from_iterable(repeat(integ.kernel.flows, n_steps)),
-        integ.post.flows,
-    )
+def _leg_flows(pre: FlowSchedule, kernel: FlowSchedule, n: int, post: FlowSchedule) -> Iterator[ElementaryFlow]:
+    """Flows of a leg in the order they act: pre, n kernel steps, post."""
+    return chain(pre.flows, chain.from_iterable(repeat(kernel.flows, n)), post.flows)
 
 
 def integrate_leg(
@@ -308,15 +293,16 @@ def integrate_leg(
     if state.dim != target.dim:
         raise ValueError(f"state dimension {state.dim} != target dimension {target.dim}")
     before = target.grad_evals
-    q, p = _run_flows(state.q, state.p, _leg_flow_iter(integ, n_steps), h, target, fuse)
+    flows = _leg_flows(integ.pre, integ.kernel, n_steps, integ.post)
+    q, p = _run_flows(state.q, state.p, flows, h, target, fuse)
     return PhaseState(q, p), target.grad_evals - before
 
 
-def leg_gradient_count(integ: ProcessedIntegrator, n_steps: int) -> int:
-    """Gradient evaluations a fused leg will consume, from the schedule alone."""
+def _fused_count(flows: Iterable[ElementaryFlow], cached: bool) -> tuple[int, bool]:
+    """Gradient evaluations fused flows consume from the given cache state,
+    and the cache state they leave."""
     count = 0
-    cached = False
-    for f in _leg_flow_iter(integ, n_steps):
+    for f in flows:
         if f.coefficient == 0.0:
             continue
         if f.kind is FlowKind.DRIFT:
@@ -324,4 +310,19 @@ def leg_gradient_count(integ: ProcessedIntegrator, n_steps: int) -> int:
         elif not cached:
             count += 1
             cached = True
-    return count
+    return count, cached
+
+
+def leg_gradient_count(integ: ProcessedIntegrator, n_steps: int) -> int:
+    """Gradient evaluations a fused leg will consume, from the schedule alone.
+
+    A kernel's drifts sum to 1, so every kernel step contains a drift and
+    leaves the same cache state whatever state it starts from: kernel steps
+    2..N all cost the same, and the count takes O(1) work in N.
+    """
+    count, cached = _fused_count(integ.pre, False)
+    if n_steps > 0:
+        first, cached = _fused_count(integ.kernel, cached)
+        steady, _ = _fused_count(integ.kernel, cached)
+        count += first + (n_steps - 1) * steady
+    return count + _fused_count(integ.post, cached)[0]

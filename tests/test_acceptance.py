@@ -23,7 +23,6 @@ from symphmc import (
     order_estimate,
     oscillator_1d,
     processed_family,
-    processor_polys,
     rho,
     rho_norm,
     schedule_matrix,
@@ -159,13 +158,13 @@ def test_criterion_4_structural_invariants():
     # processor parity and unit determinants at 50 step sizes
     for h in np.linspace(0.05, 3.0, 50):
         h = float(h)
-        plus = processor_polys(integ.pre, h)
-        minus = processor_polys(integ.pre, -h)
-        assert abs(plus.alpha - minus.alpha) <= 1e-12
-        assert abs(plus.beta + minus.beta) <= 1e-12
-        assert abs(plus.gamma + minus.gamma) <= 1e-12
-        assert abs(plus.delta - minus.delta) <= 1e-12
-        assert abs(plus.alpha * plus.delta - plus.beta * plus.gamma - 1.0) <= 1e-12
+        plus = schedule_matrix(integ.pre, h)
+        minus = schedule_matrix(integ.pre, -h)
+        assert abs(plus.m11 - minus.m11) <= 1e-12
+        assert abs(plus.m12 + minus.m12) <= 1e-12
+        assert abs(plus.m21 + minus.m21) <= 1e-12
+        assert abs(plus.m22 - minus.m22) <= 1e-12
+        assert abs(plus.m11 * plus.m22 - plus.m12 * plus.m21 - 1.0) <= 1e-12
         assert abs(schedule_matrix(integ.kernel, h).det() - 1.0) <= 1e-12
     report(4, f"reversibility {rev_err:.1e}, volume and parity checks held, {elapsed():.1f}s")
 

@@ -223,6 +223,36 @@ class TestTune:
         assert run_cli(["tune", "--config", str(cfg), "--h", "3.0"]) == 2
 
 
+SWEEP_LEAPFROG = ["sweep", "--integrator", "leapfrog", "--dim", "8", "--samples", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--integrator", "leapfrog", "--dim", "0"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--samples", "0"],
+        SWEEP_LEAPFROG + ["--h", "-1"],
+        SWEEP_LEAPFROG + ["--h", "nan"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "0"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "nan"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "inf"],
+        ["sweep", "--integrator", "leapfrog", "--config", "{dim_abc}"],
+        ["rowlands-order", "--h", "0.3"],
+        ["tune", "--integrator", "proc-3.0", "--h", "-1"],
+    ],
+    ids=["dim-0", "samples-0", "h-negative", "h-nan", "leg-time-0", "leg-time-nan", "leg-time-inf",
+         "config-dim-abc", "rowlands-order-h", "tune-h-negative"],
+)
+def test_invalid_values_are_usage_errors(argv, tmp_path, capsys):
+    cfg = tmp_path / "dim.json"
+    cfg.write_text(json.dumps({"dim": "abc"}))
+    code = run_cli([arg.replace("{dim_abc}", str(cfg)) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestRowlandsOrder:
     def test_reports_fourth_order(self, capsys):
         assert run_cli(["rowlands-order"]) == 0

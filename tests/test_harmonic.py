@@ -10,10 +10,8 @@ from symphmc import (
     UnstableStep,
     drift,
     expected_energy_error,
-    flow_matrix,
     kick,
     leg_matrix,
-    processor_polys,
     rho,
     rho_norm,
     schedule_matrix,
@@ -33,23 +31,23 @@ def kernel_stability(name):
 
 class TestFlowMatrices:
     def test_drift_shear(self):
-        m = flow_matrix(drift(1.0), 0.5)
+        m = schedule_matrix(FlowSchedule((drift(1.0),)), 0.5)
         assert (m.m11, m.m12, m.m21, m.m22) == (1.0, 0.5, 0.0, 1.0)
 
     def test_kick_shear(self):
-        m = flow_matrix(kick(1.0), 0.5)
+        m = schedule_matrix(FlowSchedule((kick(1.0),)), 0.5)
         assert (m.m11, m.m12, m.m21, m.m22) == (1.0, 0.0, -0.5, 1.0)
 
     @given(st.floats(-3, 3), st.floats(-1, 1))
     def test_shear_determinant(self, h, c):
-        assert abs(flow_matrix(drift(c), h).det() - 1.0) <= 1e-14
-        assert abs(flow_matrix(kick(c), h).det() - 1.0) <= 1e-14
+        assert abs(schedule_matrix(FlowSchedule((drift(c),)), h).det() - 1.0) <= 1e-14
+        assert abs(schedule_matrix(FlowSchedule((kick(c),)), h).det() - 1.0) <= 1e-14
 
     def test_modified_kick_has_no_fixed_shear(self):
         from symphmc import modified_kick
 
         with pytest.raises(ValueError):
-            flow_matrix(modified_kick(1.0, 0.5, 1.0 / 48.0), 0.5)
+            schedule_matrix(FlowSchedule((modified_kick(1.0, 0.5, 1.0 / 48.0),)), 0.5)
 
 
 class TestScheduleMatrix:
@@ -74,15 +72,24 @@ class TestScheduleMatrix:
             p = schedule_matrix(integ.pre, float(h))
             assert abs(p.det() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_power_matches_repeated_product(self, n):
+        k = schedule_matrix(ROW2.kernel, np.array([0.3, 1.1, 2.9]))
+        expected = TransferMatrix(1.0, 0.0, 0.0, 1.0)
+        for _ in range(n):
+            expected = k @ expected
+        for got, want in zip(k.power(n), expected):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_processor_parity(self):
-        # alpha, delta even in h; beta, gamma odd
+        # m11, m22 even in h; m12, m21 odd
         for h in np.linspace(0.05, 3.0, 50):
-            plus = processor_polys(ROW2.pre, float(h))
-            minus = processor_polys(ROW2.pre, float(-h))
-            assert abs(plus.alpha - minus.alpha) <= 1e-12
-            assert abs(plus.beta + minus.beta) <= 1e-12
-            assert abs(plus.gamma + minus.gamma) <= 1e-12
-            assert abs(plus.delta - minus.delta) <= 1e-12
+            plus = schedule_matrix(ROW2.pre, float(h))
+            minus = schedule_matrix(ROW2.pre, float(-h))
+            assert abs(plus.m11 - minus.m11) <= 1e-12
+            assert abs(plus.m12 + minus.m12) <= 1e-12
+            assert abs(plus.m21 + minus.m21) <= 1e-12
+            assert abs(plus.m22 - minus.m22) <= 1e-12
 
 
 class TestSpectrum:

@@ -9,9 +9,7 @@ from symphmc import (
     NonFiniteState,
     PhaseState,
     ProcessedIntegrator,
-    adjoint_schedule,
     anharmonic_model,
-    apply_flow,
     build_kernel,
     build_processor,
     drift,
@@ -23,8 +21,9 @@ from symphmc import (
     momentum_flip,
     processed_family,
 )
-from symphmc.catalog import named_integrator
+from symphmc.catalog import INTEGRATOR_NAMES, named_integrator
 from symphmc.fourth_order import rowlands_scheme
+from symphmc.splitting import _run_flows
 
 from conftest import assert_states_close
 
@@ -141,13 +140,13 @@ class TestBuildProcessor:
 class TestAdjoint:
     def test_order_reversal(self):
         s = FlowSchedule((kick(0.2), drift(0.7)))
-        adj = adjoint_schedule(s)
+        adj = s.adjoint()
         assert [f.kind for f in adj] == [FlowKind.DRIFT, FlowKind.KICK]
         assert [f.coefficient for f in adj] == [0.7, 0.2]
 
     @given(schedules())
     def test_involution(self, s):
-        assert adjoint_schedule(adjoint_schedule(s)) == s
+        assert s.adjoint().adjoint() == s
 
     def test_rowlands_kappa_reversal(self):
         scheme = rowlands_scheme()
@@ -183,28 +182,40 @@ class TestApplyFlow:
     def test_drift_shift(self):
         tgt = gaussian_model(2)
         s = PhaseState(np.zeros(2), np.array([2.0, 0.0]))
-        out = apply_flow(s, drift(1.0), 0.1, tgt)
-        assert np.allclose(out.q, [0.2, 0.0], atol=0, rtol=0)
-        assert np.array_equal(out.p, s.p)
+        q, p = _run_flows(s.q, s.p, (drift(1.0),), 0.1, tgt, fuse=False)
+        assert np.allclose(q, [0.2, 0.0], atol=0, rtol=0)
+        assert np.array_equal(p, s.p)
         assert tgt.grad_evals == 0
 
     def test_zero_kick_skipped(self):
         tgt = gaussian_model(2)
         s = PhaseState(np.array([1.0, 2.0]), np.array([0.3, 0.4]))
-        out = apply_flow(s, kick(0.0), 0.1, tgt)
-        assert np.array_equal(out.q, s.q) and np.array_equal(out.p, s.p)
+        q, p = _run_flows(s.q, s.p, (kick(0.0),), 0.1, tgt, fuse=False)
+        assert np.array_equal(q, s.q) and np.array_equal(p, s.p)
         assert tgt.grad_evals == 0
 
     def test_modified_kick_without_correction_is_scaled_kick(self):
         tgt = anharmonic_model(2)
         s = PhaseState(np.array([0.4, -0.8]), np.array([0.0, 0.1]))
-        a = apply_flow(s, modified_kick(1.0, 0.25, 0.0), 0.3, tgt.fresh())
+        _, p = _run_flows(s.q, s.p, (modified_kick(1.0, 0.25, 0.0),), 0.3, tgt.fresh(), fuse=False)
         expected = s.p - 0.3 * 0.25 * tgt.fresh().gradient(s.q)
-        assert np.allclose(a.p, expected, rtol=0, atol=0)
+        assert np.allclose(p, expected, rtol=0, atol=0)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_flow(PhaseState(np.zeros(2), np.zeros(2)), drift(1.0), 0.1, gaussian_model(3))
+
+def walked_gradient_count(integ, n_steps):
+    """Reference count: walk every flow of the fused leg, O(N)."""
+    flows = (*integ.pre, *(integ.kernel.flows * n_steps), *integ.post)
+    count = 0
+    cached = False
+    for f in flows:
+        if f.coefficient == 0.0:
+            continue
+        if f.kind is FlowKind.DRIFT:
+            cached = False
+        elif not cached:
+            count += 1
+            cached = True
+    return count
 
 
 class TestGradientCounts:
@@ -215,15 +226,36 @@ class TestGradientCounts:
             ("blcasa", 10, 31),  # 3N + 1
             ("leapfrog", 10, 11),  # N + 1
             ("proc-4.5", 1, 8),
+            ("proc-3.0", 10**9, 3 * 10**9 + 5),
+            ("blcasa", 10**9, 3 * 10**9 + 1),
+            ("leapfrog", 10**9, 10**9 + 1),
         ],
     )
     def test_leg_counts(self, name, n_steps, expected):
         integ = named_integrator(name)
+        assert leg_gradient_count(integ, n_steps) == expected
+        if n_steps > 1000:
+            return  # the count is closed form; a leg this long is not run
         tgt = gaussian_model(3)
         s0 = PhaseState(np.array([0.1, 0.2, 0.3]), np.array([-0.2, 0.4, 0.0]))
         _, grads = integrate_leg(s0, 0.02, n_steps, integ, tgt)
         assert grads == expected
-        assert leg_gradient_count(integ, n_steps) == expected
+
+    @pytest.mark.parametrize("name", [n for n in INTEGRATOR_NAMES if n != "rowlands"])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 10, 1001])
+    def test_closed_form_matches_walk(self, name, n_steps):
+        integ = named_integrator(name)
+        assert leg_gradient_count(integ, n_steps) == walked_gradient_count(integ, n_steps)
+
+    @given(
+        st.floats(min_value=0.2, max_value=0.49),
+        st.one_of(st.just(0.0), st.floats(min_value=-0.3, max_value=0.3)),
+        st.one_of(st.just(0.0), st.floats(min_value=-0.3, max_value=0.3)),
+        st.integers(min_value=1, max_value=50),
+    )
+    def test_closed_form_matches_walk_on_family(self, b, c, d, n_steps):
+        integ = processed_family(b, c, d)
+        assert leg_gradient_count(integ, n_steps) == walked_gradient_count(integ, n_steps)
 
     def test_fusion_toggle_is_bit_identical(self):
         integ = named_integrator("proc-3.0")
@@ -270,6 +302,10 @@ class TestIntegrateLeg:
         with pytest.raises(NonFiniteState):
             with np.errstate(over="ignore", invalid="ignore"):
                 integrate_leg(s0, 50.0, 50, integ, tgt)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            integrate_leg(PhaseState(np.zeros(2), np.zeros(2)), 0.1, 1, named_integrator("leapfrog"), gaussian_model(3))
 
     def test_argument_validation(self):
         integ = named_integrator("leapfrog")
