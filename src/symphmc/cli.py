@@ -1,23 +1,17 @@
 """Benchmark command line.
 
-Subcommands:
-  table2          check the shipped parameter rows (rho norms, stability)
-  sweep           Gaussian-target efficiency sweep, CSV output
-  tune            minimize the rho metric from a named or explicit seed
-  stability       print kernel stability-interval lengths
-  rho-scan        emit (h, rho_h) CSV for plotting
-  rowlands-order  verify fourth-order decay of the processed scheme
-
-Exit codes: 0 success/pass, 1 acceptance failure, 2 usage error.  The
-environment variable SYMPHMC_THREADS caps the sweep worker pool.
+Each subcommand takes only the options it reads, as flags or as keys of a
+JSON object given with --config; flags win over config values.  Exit codes:
+0 success/pass, 1 acceptance failure, 2 usage error.  The environment
+variable SYMPHMC_THREADS caps the sweep worker pool.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,82 +39,132 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
-class ExperimentConfig:
-    """Parameters merged from flags and an optional JSON config file; flags win."""
+def _whole(low: int):
+    def convert(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise ValueError(f"must be a whole number >= {low}")
+        return n
 
-    integrator: Optional[str] = None
-    dim: Optional[int] = None
-    h: Optional[str] = None
-    h_grid: Optional[int] = None
-    leg_time: Optional[float] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-    out: Optional[str] = None
-    full: Optional[bool] = None
-    init: Optional[Sequence[float]] = None
+    return convert
 
-    _FIELDS = ("integrator", "dim", "h", "h_grid", "leg_time", "samples", "seed", "out", "full", "init")
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "ExperimentConfig":
-        file_values: dict = {}
-        if getattr(args, "config", None):
-            try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    file_values = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise CliUsageError(f"cannot read config {args.config!r}: {exc}") from exc
-            if not isinstance(file_values, dict):
-                raise CliUsageError(f"config {args.config!r} must hold a JSON object")
-            unknown = set(file_values) - set(cls._FIELDS)
-            if unknown:
-                raise CliUsageError(f"unknown config keys: {sorted(unknown)}")
-        merged = {}
-        for name in cls._FIELDS:
-            flag = getattr(args, name, None)
-            merged[name] = flag if flag is not None else file_values.get(name)
-        if merged["integrator"] is not None and merged["integrator"] not in catalog.INTEGRATOR_NAMES:
-            raise CliUsageError(
-                f"unknown integrator {merged['integrator']!r}; choose from {', '.join(catalog.INTEGRATOR_NAMES)}"
-            )
-        return cls(**merged)
+def _positive(text: str) -> float:
+    x = float(text)
+    if not 0.0 < x < math.inf:
+        raise ValueError("must be positive and finite")
+    return x
 
-    def h_list(self) -> Optional[list[float]]:
-        if self.h is None:
-            return None
-        value = self.h
-        if isinstance(value, (int, float)):
-            return [float(value)]
-        if isinstance(value, (list, tuple)):
-            return [float(v) for v in value]
-        tokens = [tok.strip() for tok in str(value).split(",")]
+
+def _steps(text: str) -> list[float]:
+    """Comma-separated positive finite steps; empty tokens are skipped."""
+    return [_positive(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _init(text: str) -> tuple[float, float, float]:
+    values = tuple(float(tok) for tok in text.split(","))
+    if len(values) != 3 or not all(map(math.isfinite, values)):
+        raise ValueError("must be three finite numbers [b, c, d]")
+    return values
+
+
+def _integrator(text: str) -> str:
+    if text not in catalog.INTEGRATOR_NAMES:
+        raise ValueError(f"choose from {', '.join(catalog.INTEGRATOR_NAMES)}")
+    return text
+
+
+def _switch(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+# Each option's converter and flag help.  A flag's text, a config value (as
+# the text the flag would carry) and a default all pass through the one
+# converter; `full` is a switch, so its config value must be a JSON bool.
+# `init` has no flag: it is a config key of `tune` only.
+OPTIONS = {
+    "integrator": (_integrator, "integrator name"),
+    "dim": (_whole(1), "target dimension"),
+    "h": (_steps, "step size(s); comma separated where a list is accepted"),
+    "h_grid": (_whole(1), "number of points of the generated step-size grid"),
+    "leg_time": (_positive, "leg duration N*h"),
+    "samples": (_whole(1), "chain length (default 5000 up to d=1024 or with --full, else 1000)"),
+    "seed": (_whole(0), "base seed; chain i uses seed ^ i"),
+    "out": (str, "output file (default stdout)"),
+    "full": (_switch, "full-length chains (5000 samples) at every dimension"),
+    "init": (_init, None),
+}
+
+
+def _flag_text(value) -> str:
+    """The text a flag would carry for a JSON config value."""
+
+    def number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if isinstance(value, str):
+        return value
+    if number(value):
+        return repr(value)
+    if isinstance(value, list) and all(map(number, value)):
+        return ",".join(map(repr, value))
+    raise ValueError("expected a number, a string or a list of numbers")
+
+
+def _read_config(path: Optional[str], names: Sequence[str]) -> dict:
+    if path is None:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CliUsageError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise CliUsageError(f"config {path!r} must hold a JSON object")
+    unknown = set(values) - set(names)
+    if unknown:
+        raise CliUsageError(f"config keys this command does not take: {sorted(unknown)}")
+    return values
+
+
+def _options(args: argparse.Namespace) -> dict:
+    """The command's options, converted: from its flag, else its config key,
+    else its default; an option with none of these is left out."""
+    config = _read_config(args.config, list(args.defaults))
+    opts = {}
+    for name, default in args.defaults.items():
+        flag = getattr(args, name, None)
+        if flag is not None:
+            raw, where = flag, "--" + name.replace("_", "-")
+        elif name in config:
+            raw, where = config[name], f"config key {name!r}"
+        elif default is not None:
+            raw, where = default, "default"
+        else:
+            continue
+        convert = OPTIONS[name][0]
         try:
-            return [float(tok) for tok in tokens if tok]
+            opts[name] = convert(raw if convert is _switch else _flag_text(raw))
         except ValueError as exc:
-            raise CliUsageError(f"bad --h value {value!r}: {exc}") from exc
+            raise CliUsageError(f"bad {where} value {json.dumps(raw)}: {exc}") from exc
+    return opts
 
-    def h_scalar(self, default: float) -> float:
-        values = self.h_list()
-        if values is None:
-            return default
-        if len(values) != 1:
-            raise CliUsageError("this command takes a single --h value")
-        return values[0]
+
+def _single_h(steps: list[float]) -> float:
+    if len(steps) != 1:
+        raise CliUsageError("this command takes a single --h value")
+    return steps[0]
 
 
 def _workers(n_jobs: int) -> int:
-    if n_jobs <= 1:
-        return 1
-    cap_env = os.environ.get("SYMPHMC_THREADS")
-    workers = min(os.cpu_count() or 1, n_jobs)
-    if cap_env is not None:
-        try:
-            cap = int(cap_env)
-        except ValueError as exc:
-            raise CliUsageError(f"SYMPHMC_THREADS must be an integer, got {cap_env!r}") from exc
-        workers = min(workers, max(1, cap))
-    return workers
+    cap = os.environ.get("SYMPHMC_THREADS")
+    try:
+        cap = n_jobs if cap is None else int(cap)
+    except ValueError as exc:
+        raise CliUsageError(f"SYMPHMC_THREADS must be an integer, got {cap!r}") from exc
+    return max(1, min(os.cpu_count() or 1, n_jobs, cap))
 
 
 def _write_text(out: Optional[str], text: str) -> None:
@@ -142,8 +186,7 @@ def default_h_grid(name: str, dim: int, points: int = 12) -> list[float]:
     return [float(v) for v in np.geomspace(0.3 * h_stab / dim, 0.98 * h_stab / dim, points)]
 
 
-def cmd_table2(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_args(args)
+def cmd_table2(opts: dict) -> int:
     lines = []
     all_ok = True
     for row in catalog.REFERENCE_ROWS:
@@ -159,132 +202,97 @@ def cmd_table2(args: argparse.Namespace) -> int:
             f"h_s={h_stab:.4f} shipped={row.stability:.3f}+-0.005 [{'PASS' if ok_stab else 'FAIL'}]"
         )
     report = "\n".join(lines) + "\n"
-    _write_text(cfg.out, report)
-    if cfg.out is not None:
+    _write_text(opts.get("out"), report)
+    if "out" in opts:
         sys.stdout.write(report)
     return 0 if all_ok else 1
 
 
-def cmd_stability(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    names = [cfg.integrator] if cfg.integrator else ["leapfrog"] + [r.name for r in catalog.REFERENCE_ROWS]
+def cmd_stability(opts: dict) -> int:
+    names = [opts["integrator"]] if "integrator" in opts else ["leapfrog"] + [r.name for r in catalog.REFERENCE_ROWS]
     lines = []
     for name in names:
         if name == "rowlands":
             raise CliUsageError("the rowlands scheme has no drift/kick stability scan")
         integ = catalog.named_integrator(name)
         lines.append(f"{name:<9} h_s={stability_length(integ.kernel):.6f}")
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(opts.get("out"), "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    if cfg.integrator is None:
+def cmd_sweep(opts: dict) -> int:
+    name = opts.get("integrator")
+    if name is None:
         raise CliUsageError("sweep requires --integrator")
-    if cfg.integrator == "rowlands":
+    if name == "rowlands":
         raise CliUsageError("rowlands is not an HMC leg integrator; see rowlands-order")
-    dim = int(cfg.dim) if cfg.dim is not None else 1024
-    if dim < 1:
-        raise CliUsageError(f"--dim must be >= 1, got {dim}")
-    leg_time = float(cfg.leg_time) if cfg.leg_time is not None else 5.0
-    seed = int(cfg.seed) if cfg.seed is not None else 1
-    full = bool(cfg.full)
-    if cfg.samples is not None:
-        samples = int(cfg.samples)
-    else:
-        samples = 5000 if (dim <= 1024 or full) else 1000
-    h_values = cfg.h_list()
+    dim = opts["dim"]
+    samples = opts.get("samples", 5000 if (dim <= 1024 or opts.get("full")) else 1000)
+    h_values = opts.get("h")
     if h_values is None:
-        h_values = default_h_grid(cfg.integrator, dim, int(cfg.h_grid) if cfg.h_grid else 12)
+        h_values = default_h_grid(name, dim, opts["h_grid"])
 
-    integ = catalog.named_integrator(cfg.integrator)
+    integ = catalog.named_integrator(name)
     target = gaussian_model(dim)
     lines = [SWEEP_CSV_HEADER]
     if h_values:
-        template = HmcConfig(h=h_values[0], n_samples=samples, seed=seed, integrator=integ, leg_time=leg_time)
+        template = HmcConfig(h=h_values[0], n_samples=samples, seed=opts["seed"], integrator=integ,
+                             leg_time=opts["leg_time"])
         points = efficiency_curve(target, integ, h_values, template, workers=_workers(len(h_values)))
         for pt in points:
-            lines.append(
-                ",".join(
-                    (
-                        cfg.integrator,
-                        str(dim),
-                        _fmt(pt.h),
-                        str(pt.n_steps),
-                        _fmt(pt.grad_per_leg),
-                        str(pt.accepted),
-                        str(pt.proposed),
-                        _fmt(pt.acceptance_pct),
-                        _fmt(pt.accept_per_grad),
-                        str(pt.seed),
-                    )
-                )
-            )
+            fields = (name, str(dim), _fmt(pt.h), str(pt.n_steps), _fmt(pt.grad_per_leg), str(pt.accepted),
+                      str(pt.proposed), _fmt(pt.acceptance_pct), _fmt(pt.accept_per_grad), str(pt.seed))
+            lines.append(",".join(fields))
         best = next(pt for pt in points if pt.best)
-        print(
-            f"best accept-per-gradient: h={_fmt(best.h)} N={best.n_steps} "
-            f"acceptance={best.acceptance_pct:.2f}% accept_per_grad={_fmt(best.accept_per_grad)}",
-            file=sys.stderr,
-        )
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+        print(f"best accept-per-gradient: h={_fmt(best.h)} N={best.n_steps} acceptance={best.acceptance_pct:.2f}% "
+              f"accept_per_grad={_fmt(best.accept_per_grad)}", file=sys.stderr)
+    _write_text(opts.get("out"), "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    hbar = cfg.h_scalar(default=3.0)
-    if cfg.init is not None:
-        if len(cfg.init) != 3:
-            raise CliUsageError("config key 'init' must be [b, c, d]")
-        seed_params = tuple(float(v) for v in cfg.init)
-    elif cfg.integrator is not None:
-        if cfg.integrator in ("leapfrog", "rowlands"):
-            raise CliUsageError(f"{cfg.integrator} carries no (b, c, d) seed; pick a reference row")
-        row = catalog.row_by_name(cfg.integrator)
+def cmd_tune(opts: dict) -> int:
+    hbar = _single_h(opts["h"])
+    name = opts.get("integrator")
+    if "init" in opts:
+        seed_params = opts["init"]
+    elif name is not None:
+        if name in ("leapfrog", "rowlands"):
+            raise CliUsageError(f"{name} carries no (b, c, d) seed; pick a reference row")
+        row = catalog.row_by_name(name)
         seed_params = (row.b, row.c or 0.0, row.d or 0.0)
     else:
         raise CliUsageError("tune needs --integrator <row> or a config with 'init': [b, c, d]")
 
     result = tune(hbar, seed_params)
     print(f"hbar={hbar}: b={_fmt(result.b)} c={_fmt(result.c)} d={_fmt(result.d)}")
-    print(
-        f"rho_norm={result.rho_norm:.6e} at_hbar={result.rho_at_hbar:.6e} "
-        f"interior_peak={result.interior_peak:.6e} evaluations={len(result.trace)}"
-    )
-    if cfg.out is not None:
-        payload = {
-            "hbar": hbar,
-            "b": result.b,
-            "c": result.c,
-            "d": result.d,
-            "rho_norm": result.rho_norm,
-            "evaluations": len(result.trace),
-        }
-        _write_text(cfg.out, json.dumps(payload, indent=2) + "\n")
+    print(f"rho_norm={result.rho_norm:.6e} at_hbar={result.rho_at_hbar:.6e} "
+          f"interior_peak={result.interior_peak:.6e} evaluations={len(result.trace)}")
+    if "out" in opts:
+        payload = {"hbar": hbar, "b": result.b, "c": result.c, "d": result.d,
+                   "rho_norm": result.rho_norm, "evaluations": len(result.trace)}
+        _write_text(opts["out"], json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def cmd_rho_scan(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    if cfg.integrator is None:
+def cmd_rho_scan(opts: dict) -> int:
+    name = opts.get("integrator")
+    if name is None:
         raise CliUsageError("rho-scan requires --integrator")
-    if cfg.integrator == "rowlands":
+    if name == "rowlands":
         raise CliUsageError("rowlands is not a drift/kick integrator")
-    integ = catalog.named_integrator(cfg.integrator)
-    h_max = cfg.h_scalar(default=catalog.scan_budget(cfg.integrator))
-    points = int(cfg.h_grid) if cfg.h_grid else 1000
+    integ = catalog.named_integrator(name)
+    h_max = _single_h(opts["h"]) if "h" in opts else catalog.scan_budget(name)
+    points = opts["h_grid"]
     lines = ["h,rho"]
     for h in np.linspace(h_max / points, h_max, points):
         lines.append(f"{_fmt(h)},{_fmt(rho(integ, float(h)))}")
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(opts.get("out"), "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_rowlands_order(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    h0 = cfg.h_scalar(default=0.25)
-    t_final = float(cfg.leg_time) if cfg.leg_time is not None else 2.0
+def cmd_rowlands_order(opts: dict) -> int:
+    h0 = _single_h(opts["h"])
+    t_final = opts["leg_time"]
     target = anharmonic_model(1)
 
     processed = order_estimate(target, "processed", t_final, h0, levels=4)
@@ -297,61 +305,62 @@ def cmd_rowlands_order(args: argparse.Namespace) -> int:
     cost_target = target.fresh()
     n_cost = max(4, round(t_final / h0))
     rowlands_leg(PhaseState(np.full(1, 0.4), np.full(1, 0.3)), h0, n_cost, cost_target)
-    ok = (
-        all(3.5 <= v <= 4.5 for v in processed)
-        and all(1.7 <= v <= 2.3 for v in bare)
-        and positive
-    )
+    ok = all(3.5 <= v <= 4.5 for v in processed) and all(1.7 <= v <= 2.3 for v in bare) and positive
     print(f"processed scheme orders: {[round(v, 3) for v in processed]} (target 4)")
     print(f"bare kernel orders:      {[round(v, 3) for v in bare]} (target 2)")
     print(f"velocity verlet orders:  {[round(v, 3) for v in verlet]} (target 2)")
-    print(
-        f"leg cost at h={h0}, N={n_cost}: {cost_target.grad_evals} gradients, "
-        f"{cost_target.hess_evals} hessian-vector products"
-    )
+    print(f"leg cost at h={h0}, N={n_cost}: {cost_target.grad_evals} gradients, "
+          f"{cost_target.hess_evals} hessian-vector products")
     print(f"all substep coefficients positive: {positive}")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
+# Each command: handler, help, and the options it reads with their defaults
+# as flag text (None: no default).  Every command also takes --config.
+COMMANDS = {
+    "table2": (cmd_table2, "check shipped rho norms and stability lengths", {"out": None}),
+    "stability": (cmd_stability, "print kernel stability-interval lengths", {"integrator": None, "out": None}),
+    "sweep": (cmd_sweep, "Gaussian efficiency sweep; CSV output", {
+        "integrator": None, "dim": "1024", "h": None, "h_grid": "12", "leg_time": "5",
+        "samples": None, "seed": "1", "out": None, "full": None,
+    }),
+    "tune": (cmd_tune, "minimize the rho metric over (b, c, d)", {
+        "integrator": None, "h": "3.0", "out": None, "init": None,
+    }),
+    "rho-scan": (cmd_rho_scan, "emit (h, rho_h) CSV", {"integrator": None, "h": None, "h_grid": "1000", "out": None}),
+    "rowlands-order": (cmd_rowlands_order, "verify fourth-order decay", {"h": "0.25", "leg_time": "2"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="symphmc", description=__doc__,
+    parser = argparse.ArgumentParser(prog="symphmc", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--integrator", choices=catalog.INTEGRATOR_NAMES, default=None)
-        sp.add_argument("--dim", type=int, default=None)
-        sp.add_argument("--h", type=str, default=None,
-                        help="step size(s); comma separated where a list is accepted")
-        sp.add_argument("--h-grid", dest="h_grid", type=int, default=None,
-                        help="number of grid points for generated step-size grids")
-        sp.add_argument("--leg-time", dest="leg_time", type=float, default=None,
-                        help="leg duration N*h (default 5; rowlands-order uses 2)")
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--config", type=str, default=None, help="JSON config file; flags override")
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--full", action="store_true", default=None,
-                        help="full-length chains (5000 samples) at every dimension")
-        sp.set_defaults(func=func)
-        return sp
-
-    add("table2", cmd_table2, "check shipped rho norms and stability lengths")
-    add("sweep", cmd_sweep, "Gaussian efficiency sweep; CSV output")
-    add("tune", cmd_tune, "minimize the rho metric over (b, c, d)")
-    add("stability", cmd_stability, "print kernel stability-interval lengths")
-    add("rho-scan", cmd_rho_scan, "emit (h, rho_h) CSV")
-    add("rowlands-order", cmd_rowlands_order, "verify fourth-order decay")
+    for command, (func, help_text, defaults) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name, default in defaults.items():
+            flag, flag_help = "--" + name.replace("_", "-"), OPTIONS[name][1]
+            if flag_help is None:
+                continue
+            if default is not None:
+                flag_help += f" (default {default})"
+            if name == "full":
+                sp.add_argument(flag, action="store_true", default=None, help=flag_help)
+            elif name == "integrator":
+                sp.add_argument(flag, choices=catalog.INTEGRATOR_NAMES, help=flag_help)
+            else:
+                sp.add_argument(flag, dest=name, help=flag_help)
+        sp.add_argument("--config", help=f"JSON object with keys {', '.join(defaults)}; flags override")
+        sp.set_defaults(func=func, defaults=defaults)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CliUsageError, ValueError) as exc:
+        return args.func(_options(args))
+    except (CliUsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NoDescent as exc:

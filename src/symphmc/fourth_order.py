@@ -120,14 +120,10 @@ def rowlands_leg(
 
 
 def order_estimate(
-    target: TargetModel,
-    scheme: str = "processed",
-    t_final: float = 2.0,
-    h0: float = 0.25,
-    levels: int = 4,
-    initial_state: Optional[PhaseState] = None,
+    target: TargetModel, scheme: str = "processed", t_final: float = 2.0, h0: float = 0.25, levels: int = 4
 ) -> list[float]:
-    """Observed convergence orders over successive halvings of the step.
+    """Observed convergence orders over successive halvings of the step,
+    from q = 0.4, p = 0.3 in every coordinate.
 
     scheme is 'processed' (the full fourth-order leg), 'kernel' (the bare
     modified kernel, second order), or 'verlet'.  The reference solution is
@@ -142,8 +138,7 @@ def order_estimate(
     if scheme not in ("processed", "kernel", "verlet"):
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    if initial_state is None:
-        initial_state = PhaseState(np.full(target.dim, 0.4), np.full(target.dim, 0.3))
+    initial_state = PhaseState(np.full(target.dim, 0.4), np.full(target.dim, 0.3))
     rs = rowlands_scheme()
     verlet = leapfrog_integrator()
 

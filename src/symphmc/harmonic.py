@@ -20,6 +20,9 @@ from .errors import UnstableStep
 from .splitting import FlowKind, FlowSchedule, ProcessedIntegrator
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# stability scan spacing and bisection tolerance; rho grid size and golden-section tolerance
+SCAN_STEP, STABILITY_TOL = 1e-3, 1e-6
+RHO_GRID_POINTS, RHO_XTOL = 10_000, 1e-8
 
 # Enum member lookups cost ~0.1 us each; schedule_matrix runs in rho's inner loop.
 _DRIFT, _KICK = FlowKind.DRIFT, FlowKind.KICK
@@ -106,14 +109,14 @@ def spectrum(m: TransferMatrix) -> KernelSpectrum:
     return KernelSpectrum(chi, theta, True)
 
 
-def _first_instability(kernel: FlowSchedule, scan_step: float, h_cap: float) -> Optional[tuple[float, float]]:
+def _first_instability(kernel: FlowSchedule) -> Optional[tuple[float, float]]:
     """(last stable h, first unstable h) of the scan grid, or None if stable throughout."""
     chunk = 5000
     prev_stable = 0.0
-    n_total = int(round(h_cap / scan_step))
+    n_total = int(round(1000.0 / SCAN_STEP))  # h up to 1000
     for start in range(1, n_total + 1, chunk):
         stop = min(start + chunk, n_total + 1)
-        hs = np.arange(start, stop, dtype=float) * scan_step
+        hs = np.arange(start, stop, dtype=float) * SCAN_STEP
         m11, m12, m21, _ = schedule_matrix(kernel, hs)
         stable = (np.abs(m11) < 1.0) & ((m12 * m21) < 0.0)
         if stable.all():
@@ -125,22 +128,22 @@ def _first_instability(kernel: FlowSchedule, scan_step: float, h_cap: float) -> 
     return None
 
 
-def stability_length(kernel: FlowSchedule, scan_step: float = 1e-3, tol: float = 1e-6) -> float:
+def stability_length(kernel: FlowSchedule) -> float:
     """Supremum h_s of step sizes below which the kernel map stays power
-    bounded: scan in steps of ``scan_step``, then bisect the first crossing
-    down to absolute tolerance ``tol``."""
-    bracket = _first_instability(kernel, scan_step, h_cap=1000.0)
+    bounded: scan in steps of SCAN_STEP, then bisect the first crossing
+    down to absolute tolerance STABILITY_TOL."""
+    bracket = _first_instability(kernel)
     if bracket is None:
         return math.inf
     lo, hi = bracket
-    while hi - lo > tol:
+    while hi - lo > STABILITY_TOL:
         mid = 0.5 * (lo + hi)
         m11, m12, m21, _ = schedule_matrix(kernel, mid)
         if _is_stable(m11, m12, m21):
             lo = mid
         else:
             hi = mid
-    if hi <= tol:
+    if hi <= STABILITY_TOL:
         return 0.0
     return 0.5 * (lo + hi)
 
@@ -215,12 +218,7 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, xtol: float) ->
     return best
 
 
-def _rho_profile(
-    integ: ProcessedIntegrator,
-    hbar: float,
-    grid_points: int = 10_000,
-    xtol: float = 1e-8,
-) -> tuple[float, float, float]:
+def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float, float]:
     """(max over (0, hbar], value at hbar, max over interior local maxima).
 
     Evaluates rho on a uniform grid and refines each grid-local maximum by
@@ -228,7 +226,7 @@ def _rho_profile(
     """
     if not (hbar > 0.0 and math.isfinite(hbar)):
         raise ValueError("hbar must be positive and finite")
-    n = max(2, int(grid_points))
+    n = RHO_GRID_POINTS
     hs = np.linspace(hbar / n, hbar, n)
 
     k11, k12, k21, _ = schedule_matrix(integ.kernel, hs)
@@ -261,14 +259,14 @@ def _rho_profile(
     for i in np.nonzero(is_peak & (vals >= threshold))[0]:
         lo = float(hs[i - 1]) if i > 0 else 0.5 * float(hs[0])
         hi = float(hs[i + 1]) if i < n - 1 else hbar
-        refined = _golden_max(f, lo, hi, xtol)
+        refined = _golden_max(f, lo, hi, RHO_XTOL)
         norm = max(norm, refined)
         if i < n - 1:
             interior = max(interior, refined)
     return norm, at_hbar, interior
 
 
-def rho_norm(integ: ProcessedIntegrator, hbar: float, grid_points: int = 10_000) -> float:
+def rho_norm(integ: ProcessedIntegrator, hbar: float) -> float:
     """max of rho over (0, hbar]; +inf if the kernel loses stability inside."""
-    norm, _, _ = _rho_profile(integ, hbar, grid_points)
+    norm, _, _ = _rho_profile(integ, hbar)
     return norm

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateParameter, NoDescent
 from .harmonic import _rho_profile, rho_norm
 from .splitting import processed_family
 
 TraceEntry = tuple[int, tuple[float, float, float], float]
+FATOL, XATOL = 1e-12, 1e-10  # Nelder-Mead stopping tolerances on the objective and on (b, c, d)
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,7 @@ def evaluate(b: float, c: float, d: float, hbar: float) -> float:
     return rho_norm(processed_family(b, c, d), hbar)
 
 
-def tune(
-    hbar: float,
-    init: Sequence[float],
-    restarts: int = 2,
-    fatol: float = 1e-12,
-    xatol: float = 1e-10,
-    max_iter: int = 2000,
-) -> TuneResult:
+def tune(hbar: float, init: Sequence[float], restarts: int = 2, max_iter: int = 2000) -> TuneResult:
     """Minimize evaluate(b, c, d, hbar) from the given seed.
 
     Runs a Nelder-Mead simplex with initial size 1e-2 per coordinate, then
@@ -61,6 +54,9 @@ def tune(
     tenfold smaller simplex.  Never returns an objective worse than the
     seed's.
     """
+    # scipy.optimize dominates `import symphmc`; only the tuner needs it
+    from scipy.optimize import minimize
+
     b0, c0, d0 = (float(v) for v in init)
     f_init = evaluate(b0, c0, d0, hbar)
     if not math.isfinite(f_init):
@@ -87,8 +83,8 @@ def tune(
             method="Nelder-Mead",
             options={
                 "initial_simplex": simplex,
-                "fatol": fatol,
-                "xatol": xatol,
+                "fatol": FATOL,
+                "xatol": XATOL,
                 "maxiter": max_iter,
                 "maxfev": 2 * max_iter,
             },

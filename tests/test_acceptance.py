@@ -68,7 +68,7 @@ ROW_PARAMS = [
 def test_criterion_1_rho_norms(row):
     elapsed = timed()
     integ = processed_family(row.b, row.c or 0.0, row.d or 0.0)
-    value = rho_norm(integ, row.hbar, grid_points=10_000)
+    value = rho_norm(integ, row.hbar)
     assert value >= row.rho_bound / 10.0, f"{row.name}: {value} < {row.rho_bound / 10}"
     assert value <= row.rho_bound, f"{row.name}: computed {value} > shipped {row.rho_bound}"
     report(1, f"{row.name}: rho_norm {value:.3e} in [{row.rho_bound / 10:.0e}, {row.rho_bound:.0e}], {elapsed():.2f}s")

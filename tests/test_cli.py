@@ -1,6 +1,8 @@
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symphmc.cli import SWEEP_CSV_HEADER, main
 from symphmc.harmonic import rho
@@ -227,26 +229,39 @@ SWEEP_LEAPFROG = ["sweep", "--integrator", "leapfrog", "--dim", "8", "--samples"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, config",
     [
-        ["sweep", "--integrator", "leapfrog", "--dim", "0"],
-        SWEEP_LEAPFROG + ["--h", "0.1", "--samples", "0"],
-        SWEEP_LEAPFROG + ["--h", "-1"],
-        SWEEP_LEAPFROG + ["--h", "nan"],
-        SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "0"],
-        SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "nan"],
-        SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "inf"],
-        ["sweep", "--integrator", "leapfrog", "--config", "{dim_abc}"],
-        ["rowlands-order", "--h", "0.3"],
-        ["tune", "--integrator", "proc-3.0", "--h", "-1"],
+        (["sweep", "--integrator", "leapfrog", "--dim", "0"], None),
+        (SWEEP_LEAPFROG + ["--h", "0.1", "--samples", "0"], None),
+        (SWEEP_LEAPFROG + ["--h", "-1"], None),
+        (SWEEP_LEAPFROG + ["--h", "nan"], None),
+        (SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "0"], None),
+        (SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "nan"], None),
+        (SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "inf"], None),
+        (["sweep", "--integrator", "leapfrog"], {"dim": "abc"}),
+        (["rowlands-order", "--h", "0.3"], None),
+        (["tune", "--integrator", "proc-3.0", "--h", "-1"], None),
+        (SWEEP_LEAPFROG + ["--h-grid", "0"], None),
+        (["rho-scan", "--integrator", "leapfrog", "--h-grid", "0"], None),
+        (["rho-scan", "--integrator", "leapfrog", "--h", "-1"], None),
+        (["sweep", "--integrator", "leapfrog", "--samples", "5", "--h", "0.1"], {"dim": 8.9}),
+        (["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1"], {"samples": 5.7}),
+        (SWEEP_LEAPFROG + ["--h", "0.1"], {"seed": 2.5}),
+        (SWEEP_LEAPFROG, {"h": True}),
+        (SWEEP_LEAPFROG + ["--h", "0.1"], {"full": "no"}),
+        (["table2"], {"dim": 8}),
     ],
     ids=["dim-0", "samples-0", "h-negative", "h-nan", "leg-time-0", "leg-time-nan", "leg-time-inf",
-         "config-dim-abc", "rowlands-order-h", "tune-h-negative"],
+         "config-dim-abc", "rowlands-order-h", "tune-h-negative", "sweep-h-grid-0", "rho-scan-h-grid-0",
+         "rho-scan-h-negative", "config-dim-float", "config-samples-float", "config-seed-float",
+         "config-h-bool", "config-full-string", "table2-config-dim"],
 )
-def test_invalid_values_are_usage_errors(argv, tmp_path, capsys):
-    cfg = tmp_path / "dim.json"
-    cfg.write_text(json.dumps({"dim": "abc"}))
-    code = run_cli([arg.replace("{dim_abc}", str(cfg)) for arg in argv])
+def test_invalid_values_are_usage_errors(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    code = run_cli(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
@@ -259,3 +274,81 @@ class TestRowlandsOrder:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "positive: True" in out
+
+
+DECLARED_FLAGS = {
+    "table2": ["--out"],
+    "stability": ["--integrator", "--out"],
+    "sweep": ["--integrator", "--dim", "--h", "--h-grid", "--leg-time", "--samples", "--seed", "--out", "--full"],
+    "tune": ["--integrator", "--h", "--out"],
+    "rho-scan": ["--integrator", "--h", "--h-grid", "--out"],
+    "rowlands-order": ["--h", "--leg-time"],
+}
+ALL_FLAGS = sorted({flag for flags in DECLARED_FLAGS.values() for flag in flags})
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED_FLAGS))
+def test_help_lists_only_declared_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(--[a-z-]+)", capsys.readouterr().out))
+    assert listed == set(DECLARED_FLAGS[command]) | {"--help", "--config"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table2", "--dim", "5"], ["stability", "--h", "1"], ["sweep", "--int", "leapfrog"],
+     ["rowlands-order", "--out", "x"], ["tune", "--init", "0.3,0,0"]],
+)
+def test_undeclared_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+
+
+def test_overflowing_leg_time_is_usage_error(capsys):
+    # finite, but leg-time / h overflows the step count
+    assert run_cli(["rowlands-order", "--leg-time", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+EDGE_TOKENS = ["0", "-1", "nan", "inf", "abc", "", "0.1,abc", "2.5"]
+# small valid values: no flag drawn from these can make a cheap command expensive
+VALID_TOKENS = ["1", "4", "0.1", "leapfrog", "proc-3.0", "rowlands"]
+CONFIG_VALUES = [8.9, "abc", True, None, [0.1, "x"], -1, 0, 2, "0.1,abc", [0.1, 0.2], "proc-3.0", {"a": 1}]
+
+
+@st.composite
+def cheap_argv(draw):
+    command = draw(st.sampled_from(["table2", "stability", "rho-scan", "sweep"]))
+    argv = [command]
+    if command == "sweep":
+        argv += ["--integrator", "leapfrog", "--dim", str(draw(st.integers(1, 8))),
+                 "--samples", str(draw(st.integers(1, 5)))]
+    flags = st.sampled_from(DECLARED_FLAGS[command] + ALL_FLAGS)
+    values = st.sampled_from(EDGE_TOKENS + VALID_TOKENS)
+    for flag, value in draw(st.lists(st.tuples(flags, values), max_size=4)):
+        argv += [flag] if flag == "--full" else [flag, value]
+    # each key the command declares, plus one it may not, present half the time
+    keys = [flag[2:].replace("-", "_") for flag in DECLARED_FLAGS[command]] + ["dim"]
+    value = st.sampled_from(CONFIG_VALUES)
+    config = draw(st.none() | st.fixed_dictionaries({}, optional={key: value for key in keys}))
+    return argv, config
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cheap_argv())
+def test_exit_code_contract(tmp_path, monkeypatch, capsys, case):
+    argv, config = case
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
