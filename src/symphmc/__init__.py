@@ -10,7 +10,6 @@ from .errors import (
 )
 from .splitting import (
     ElementaryFlow,
-    FamilyParams,
     FlowKind,
     FlowSchedule,
     PhaseState,
@@ -54,13 +53,7 @@ from .hmc import (
     hmc_run,
 )
 from .tuning import TuneResult, continuation_sweep, evaluate, tune
-from .fourth_order import (
-    RowlandsScheme,
-    modified_force,
-    order_estimate,
-    rowlands_leg,
-    rowlands_scheme,
-)
+from .fourth_order import order_estimate, rowlands_integrator, rowlands_leg
 from . import catalog
 
 __version__ = "0.1.0"

@@ -53,12 +53,12 @@ def row_by_name(name: str) -> ReferenceRow:
 
 def leapfrog_integrator() -> ProcessedIntegrator:
     kernel = FlowSchedule((kick(0.5), drift(1.0), kick(0.5)))
-    return ProcessedIntegrator.symmetric(kernel, FlowSchedule())
+    return ProcessedIntegrator(kernel, FlowSchedule())
 
 
 def blcasa_integrator() -> ProcessedIntegrator:
     """Unprocessed two-stage baseline: the blcasa row's b, empty processors."""
-    return ProcessedIntegrator.symmetric(build_kernel(row_by_name("blcasa").b), FlowSchedule())
+    return ProcessedIntegrator(build_kernel(row_by_name("blcasa").b), FlowSchedule())
 
 
 def named_integrator(name: str) -> ProcessedIntegrator:

@@ -57,8 +57,11 @@ def _positive(text: str) -> float:
 
 
 def _steps(text: str) -> list[float]:
-    """Comma-separated positive finite steps; empty tokens are skipped."""
-    return [_positive(tok) for tok in text.split(",") if tok.strip()]
+    """Comma-separated positive finite steps, at least one; empty tokens are skipped."""
+    steps = [_positive(tok) for tok in text.split(",") if tok.strip()]
+    if not steps:
+        raise ValueError("must list at least one step")
+    return steps
 
 
 def _init(text: str) -> tuple[float, float, float]:
@@ -234,18 +237,17 @@ def cmd_sweep(opts: dict) -> int:
 
     integ = catalog.named_integrator(name)
     target = gaussian_model(dim)
+    template = HmcConfig(h=h_values[0], n_samples=samples, seed=opts["seed"], integrator=integ,
+                         leg_time=opts["leg_time"])
+    points = efficiency_curve(target, integ, h_values, template, workers=_workers(len(h_values)))
     lines = [SWEEP_CSV_HEADER]
-    if h_values:
-        template = HmcConfig(h=h_values[0], n_samples=samples, seed=opts["seed"], integrator=integ,
-                             leg_time=opts["leg_time"])
-        points = efficiency_curve(target, integ, h_values, template, workers=_workers(len(h_values)))
-        for pt in points:
-            fields = (name, str(dim), _fmt(pt.h), str(pt.n_steps), _fmt(pt.grad_per_leg), str(pt.accepted),
-                      str(pt.proposed), _fmt(pt.acceptance_pct), _fmt(pt.accept_per_grad), str(pt.seed))
-            lines.append(",".join(fields))
-        best = next(pt for pt in points if pt.best)
-        print(f"best accept-per-gradient: h={_fmt(best.h)} N={best.n_steps} acceptance={best.acceptance_pct:.2f}% "
-              f"accept_per_grad={_fmt(best.accept_per_grad)}", file=sys.stderr)
+    for pt in points:
+        fields = (name, str(dim), _fmt(pt.h), str(pt.n_steps), _fmt(pt.grad_per_leg), str(pt.accepted),
+                  str(pt.proposed), _fmt(pt.acceptance_pct), _fmt(pt.accept_per_grad), str(pt.seed))
+        lines.append(",".join(fields))
+    best = next(pt for pt in points if pt.best)
+    print(f"best accept-per-gradient: h={_fmt(best.h)} N={best.n_steps} acceptance={best.acceptance_pct:.2f}% "
+          f"accept_per_grad={_fmt(best.accept_per_grad)}", file=sys.stderr)
     _write_text(opts.get("out"), "\n".join(lines) + "\n")
     return 0
 

@@ -14,7 +14,7 @@ class UnstableStep(RuntimeError):
 
 
 class InsufficientSteps(ValueError):
-    """A processed leg needs at least two kernel steps."""
+    """A leg needs one step, or two when a kernel step is folded into its preprocessor."""
 
 
 class NoDescent(RuntimeError):

@@ -2,33 +2,21 @@
 
 The kernel is a velocity-Verlet-shaped step whose kicks use the modified
 potential b*V - h^2*c*(grad V)^T M^{-1} (grad V) at (b, c) = (1/2, 1/48).
-Folding one kernel step into the preprocessor gives the map kappa, so a leg
-of N steps runs kappa, N-2 kernel steps, then the adjoint of kappa; every
-substep coefficient is strictly positive, yet the processed leg converges
-at fourth order while the bare kernel is second order.
+Folding one kernel step into the processor gives the map kappa, which is
+the preprocessor of a ProcessedIntegrator like any other: a leg of N steps
+runs kappa, N-2 kernel steps, then the adjoint of kappa.  Every substep
+coefficient is strictly positive, yet the processed leg converges at fourth
+order while the bare kernel is second order.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .catalog import leapfrog_integrator
-from .errors import InsufficientSteps
-from .splitting import (
-    ElementaryFlow,
-    FlowKind,
-    FlowSchedule,
-    PhaseState,
-    _leg_flows,
-    _run_flows,
-    drift,
-    kick,
-    modified_kick,
-)
+from .splitting import FlowSchedule, PhaseState, ProcessedIntegrator, drift, integrate_leg, kick, modified_kick
 from .targets import GaussianModel, TargetModel
 
 KERNEL_KICK_B = Fraction(1, 2)
@@ -49,16 +37,10 @@ POSITIVE_COEFFICIENTS = (
     KAPPA_BETA_2,
 )
 
-@dataclass(frozen=True)
-class RowlandsScheme:
-    kernel: FlowSchedule
-    kappa: FlowSchedule
-    kappa_star: FlowSchedule
 
-
-def rowlands_scheme() -> RowlandsScheme:
+def rowlands_integrator() -> ProcessedIntegrator:
+    """The modified kernel with kappa as its preprocessor (one kernel step folded in)."""
     mk = modified_kick(1.0, float(KERNEL_KICK_B), float(KERNEL_KICK_C))
-    kernel = FlowSchedule((mk, drift(1.0), mk))
     kappa = FlowSchedule(
         (
             modified_kick(1.0, float(KAPPA_BETA_1), float(KAPPA_GAMMA_1)),
@@ -67,56 +49,15 @@ def rowlands_scheme() -> RowlandsScheme:
             drift(float(KAPPA_ALPHA_2)),
         )
     )
-    return RowlandsScheme(kernel=kernel, kappa=kappa, kappa_star=kappa.adjoint())
+    return ProcessedIntegrator(FlowSchedule((mk, drift(1.0), mk)), kappa)
 
 
-def modified_force(q: np.ndarray, b_mod: float, c_mod: float, h: float, target: TargetModel) -> np.ndarray:
-    """Gradient of the modified potential:
-    b*grad V - 2 h^2 c * HessV M^{-1} grad V."""
-    q = np.asarray(q, dtype=float)
-    g = target.gradient(q)
-    if c_mod == 0.0:
-        return b_mod * g
-    hvp = target.hessian_vec(q, target.inv_mass_apply(g))
-    return b_mod * g - (2.0 * c_mod * h * h) * hvp
+_ROWLANDS = rowlands_integrator()
 
 
-def effective_kick_coefficient(f: ElementaryFlow, h: float) -> float:
-    """Kick slope of a flow on the unit oscillator (V = q^2/2, M = 1), where
-    the modified force is (b_mod - 2 h^2 c_mod) q."""
-    if f.kind is FlowKind.KICK:
-        return f.coefficient
-    if f.kind is FlowKind.MODIFIED_KICK:
-        return f.coefficient * (f.b_mod - 2.0 * f.c_mod * h * h)
-    raise ValueError("drifts have no kick coefficient")
-
-
-def _run_leg(
-    state: PhaseState,
-    pre: FlowSchedule,
-    kernel: FlowSchedule,
-    n: int,
-    post: FlowSchedule,
-    h: float,
-    target: TargetModel,
-) -> PhaseState:
-    q, p = _run_flows(state.q, state.p, _leg_flows(pre, kernel, n, post), h, target)
-    return PhaseState(q, p)
-
-
-def rowlands_leg(
-    state: PhaseState,
-    h: float,
-    n_steps: int,
-    target: TargetModel,
-    scheme: Optional[RowlandsScheme] = None,
-) -> PhaseState:
+def rowlands_leg(state: PhaseState, h: float, n_steps: int, target: TargetModel) -> PhaseState:
     """Processed leg kappa* . kernel^(N-2) . kappa spanning time N*h."""
-    if n_steps < 2:
-        raise InsufficientSteps("the processed leg needs n_steps >= 2")
-    if scheme is None:
-        scheme = rowlands_scheme()
-    return _run_leg(state, scheme.kappa, scheme.kernel, n_steps - 2, scheme.kappa_star, h, target)
+    return integrate_leg(state, h, n_steps, _ROWLANDS, target)[0]
 
 
 def order_estimate(
@@ -135,28 +76,23 @@ def order_estimate(
     n0 = round(t_final / h0)
     if abs(n0 * h0 - t_final) > 1e-12 * max(1.0, t_final) or n0 < 4 or n0 % 2:
         raise ValueError("choose h0 so that t_final/h0 is an even integer >= 4")
-    if scheme not in ("processed", "kernel", "verlet"):
+    legs = {
+        "processed": _ROWLANDS,
+        "kernel": ProcessedIntegrator(_ROWLANDS.kernel, FlowSchedule()),
+        "verlet": leapfrog_integrator(),
+    }
+    if scheme not in legs:
         raise ValueError(f"unknown scheme {scheme!r}")
 
     initial_state = PhaseState(np.full(target.dim, 0.4), np.full(target.dim, 0.3))
-    rs = rowlands_scheme()
-    verlet = leapfrog_integrator()
-
     if isinstance(target, GaussianModel):
         reference = target.exact_flow(initial_state, t_final)
     else:
-        reference = rowlands_leg(initial_state, h0 / 64.0, n0 * 64, target, rs)
+        reference = rowlands_leg(initial_state, h0 / 64.0, n0 * 64, target)
 
     errors = []
     for k in range(levels):
-        h = h0 / 2**k
-        n = n0 * 2**k
-        if scheme == "processed":
-            out = rowlands_leg(initial_state, h, n, target, rs)
-        elif scheme == "kernel":
-            out = _run_leg(initial_state, FlowSchedule(), rs.kernel, n, FlowSchedule(), h, target)
-        else:
-            out = _run_leg(initial_state, verlet.pre, verlet.kernel, n, verlet.post, h, target)
+        out, _ = integrate_leg(initial_state, h0 / 2**k, n0 * 2**k, legs[scheme], target)
         err = max(
             float(np.max(np.abs(out.q - reference.q))),
             float(np.max(np.abs(out.p - reference.p))),

@@ -84,15 +84,17 @@ def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> Tran
             m22 = m22 - c * m12
         else:
             raise ValueError(
-                "modified kicks have no fixed oscillator shear; "
-                "see the fourth-order module for their effective coefficient"
+                "modified kicks have no fixed oscillator shear: "
+                "their kick slope depends on h"
             )
     return TransferMatrix(m11, m12, m21, m22)
 
 
 def _is_stable(m11, m12, m21) -> bool:
-    # Strict inequality: the |m11| = 1 boundary is treated as unstable.
-    return bool(abs(m11) < 1.0 and (m12 * m21) < 0.0)
+    # A unit-determinant palindromic map has m12*m21 = m11^2 - 1, so the
+    # second test alone excludes the |m11| = 1 boundary; the first admits
+    # m11 == 1.0, which is what a tiny step rounds m11 to.
+    return bool(abs(m11) <= 1.0 and (m12 * m21) < 0.0)
 
 
 def spectrum(m: TransferMatrix) -> KernelSpectrum:
@@ -118,7 +120,7 @@ def _first_instability(kernel: FlowSchedule) -> Optional[tuple[float, float]]:
         stop = min(start + chunk, n_total + 1)
         hs = np.arange(start, stop, dtype=float) * SCAN_STEP
         m11, m12, m21, _ = schedule_matrix(kernel, hs)
-        stable = (np.abs(m11) < 1.0) & ((m12 * m21) < 0.0)
+        stable = (np.abs(m11) <= 1.0) & ((m12 * m21) < 0.0)
         if stable.all():
             prev_stable = float(hs[-1])
             continue
@@ -160,7 +162,7 @@ def _sandwich(
 
 
 def leg_matrix(integ: ProcessedIntegrator, h: float, n_steps: int) -> TransferMatrix:
-    """Oscillator map of a whole processed leg at step h with N kernel steps.
+    """Oscillator map of a whole processed leg of N steps at step h.
 
     Uses the signed per-step angle: in the upper stretch of the stability
     interval the kernel's m12 turns negative (rotation angle past pi), and
@@ -171,8 +173,8 @@ def leg_matrix(integ: ProcessedIntegrator, h: float, n_steps: int) -> TransferMa
     if not sp.stable:
         raise UnstableStep(f"kernel unstable at h = {h}")
     theta = math.copysign(sp.theta, kernel.m12)
-    big_c = math.cos(n_steps * theta)
-    big_s = math.sin(n_steps * theta)
+    angle = integ.kernel_steps(n_steps) * theta
+    big_c, big_s = math.cos(angle), math.sin(angle)
     a_, b_, c_ = _sandwich(*schedule_matrix(integ.pre, h), sp.chi, big_c, big_s)
     return TransferMatrix(a_, b_, c_, a_)
 
@@ -230,7 +232,7 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
     hs = np.linspace(hbar / n, hbar, n)
 
     k11, k12, k21, _ = schedule_matrix(integ.kernel, hs)
-    stable = (np.abs(k11) < 1.0) & ((k12 * k21) < 0.0)
+    stable = (np.abs(k11) <= 1.0) & ((k12 * k21) < 0.0)
     if not stable.all():
         return math.inf, math.inf, math.inf
     chi = np.sqrt(k12 / -k21)

@@ -11,6 +11,8 @@ For the diagonal Gaussian benchmark the leg map factors into independent
 set-up per chain, instead of O(N d) per leg; this fast path is used
 automatically for plain drift/kick integrators on Gaussian targets and is
 cross-checked against the generic flow-by-flow execution in the test suite.
+The two paths differ only in their set-up and their proposal; both run the
+same Metropolis loop.
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ class HmcConfig:
 
     @property
     def n_steps(self) -> int:
-        """Kernel steps per leg; the leg spans n_steps * h close to leg_time."""
+        """Steps per leg; the leg spans n_steps * h close to leg_time."""
         return max(1, round(self.leg_time / self.h))
 
 
@@ -129,21 +131,14 @@ def hmc_run(
     return _run_generic(tgt, cfg, rng, q0)
 
 
-def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray):
-    n, d = cfg.n_samples, tgt.dim
-    n_steps = cfg.n_steps
+def _metropolis(propose, q0: np.ndarray, n: int, rng: np.random.Generator):
+    """The accept/reject loop shared by both paths.
 
-    if isinstance(cfg.integrator, ExactGaussianFlow):
-        t_leg = n_steps * cfg.h
-
-        def advance(state: PhaseState) -> PhaseState:
-            return tgt.exact_flow(state, t_leg)
-
-    else:
-
-        def advance(state: PhaseState) -> PhaseState:
-            return integrate_leg(state, cfg.h, n_steps, cfg.integrator, tgt)[0]
-
+    propose(q, p) returns (dH, proposed position); a non-finite dH counts as
+    +inf.  Returns the positions after each iteration, the dH values and the
+    number of accepted proposals.
+    """
+    d = q0.shape[0]
     samples = np.empty((n, d))
     dh = np.empty(n)
     accepted = 0
@@ -152,25 +147,38 @@ def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0:
         for m in range(n):
             p = rng.standard_normal(d)
             u = rng.random()
-            state = PhaseState(q, p)
-            h_current = energy(tgt, state)
-            try:
-                proposal = advance(state)
-                delta = energy(tgt, proposal) - h_current
-                if not math.isfinite(delta):
-                    delta = math.inf
-            except NonFiniteState:
+            delta, proposal = propose(q, p)
+            if not math.isfinite(delta):
                 delta = math.inf
             dh[m] = delta
             if float(np.log(u)) < -delta:
-                q = proposal.q
+                q = proposal
                 accepted += 1
             samples[m] = q
-    return samples, _make_stats(accepted, n, tgt.grad_evals, dh, cfg.seed)
+    return samples, dh, accepted
+
+
+def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray):
+    integ, n_steps = cfg.integrator, cfg.n_steps
+    t_leg = n_steps * cfg.h
+
+    def propose(q: np.ndarray, p: np.ndarray):
+        state = PhaseState(q, p)
+        h_current = energy(tgt, state)
+        try:
+            if isinstance(integ, ExactGaussianFlow):
+                proposal = tgt.exact_flow(state, t_leg)
+            else:
+                proposal = integrate_leg(state, cfg.h, n_steps, integ, tgt)[0]
+        except NonFiniteState:
+            return math.inf, q
+        return energy(tgt, proposal) - h_current, proposal.q
+
+    samples, dh, accepted = _metropolis(propose, q0, cfg.n_samples, rng)
+    return samples, _make_stats(accepted, cfg.n_samples, tgt.grad_evals, dh, cfg.seed)
 
 
 def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray):
-    n, d = cfg.n_samples, tgt.dim
     n_steps = cfg.n_steps
     x = cfg.h * tgt.frequencies  # per-mode step on the unit oscillator
 
@@ -182,32 +190,22 @@ def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: 
             grad_per_leg = 0
         else:
             integ = cfg.integrator
-            kernel_n = schedule_matrix(integ.kernel, x).power(n_steps)
+            kernel_n = schedule_matrix(integ.kernel, x).power(integ.kernel_steps(n_steps))
             pre = schedule_matrix(integ.pre, x)
             post = schedule_matrix(integ.post, x)
             l11, l12, l21, l22 = post @ (kernel_n @ pre)
             grad_per_leg = leg_gradient_count(integ, n_steps)
 
-        big_q = tgt.frequencies * q0  # scaled coordinates: each mode is a unit oscillator
-        samples = np.empty((n, d))
-        dh = np.empty(n)
-        accepted = 0
-        for m in range(n):
-            big_p = rng.standard_normal(d)
-            u = rng.random()
-            h_current = 0.5 * (big_q @ big_q + big_p @ big_p)
-            q1 = l11 * big_q + l12 * big_p
-            p1 = l21 * big_q + l22 * big_p
-            delta = 0.5 * (q1 @ q1 + p1 @ p1) - h_current
-            if not math.isfinite(delta):
-                delta = math.inf
-            dh[m] = delta
-            if float(np.log(u)) < -delta:
-                big_q = q1
-                accepted += 1
-            samples[m] = big_q
-        samples /= tgt.frequencies
-    return samples, _make_stats(accepted, n, grad_per_leg * n, dh, cfg.seed)
+    def propose(q: np.ndarray, p: np.ndarray):
+        h_current = 0.5 * (q @ q + p @ p)
+        q1 = l11 * q + l12 * p
+        p1 = l21 * q + l22 * p
+        return 0.5 * (q1 @ q1 + p1 @ p1) - h_current, q1
+
+    # scaled coordinates: each mode is a unit oscillator
+    samples, dh, accepted = _metropolis(propose, tgt.frequencies * q0, cfg.n_samples, rng)
+    samples /= tgt.frequencies
+    return samples, _make_stats(accepted, cfg.n_samples, grad_per_leg * cfg.n_samples, dh, cfg.seed)
 
 
 @dataclass(frozen=True)

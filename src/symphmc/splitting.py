@@ -2,28 +2,33 @@
 
 A schedule is an ordered tuple of elementary flows (drifts, kicks, modified
 kicks) listed in the order they act on the state; every coefficient
-multiplies the step size h.  A processed leg applies a preprocessor once,
-iterates the kernel N times, and applies the adjoint of the preprocessor
-once, which keeps the whole leg time reversible whenever the kernel is
-palindromic.
+multiplies the step size h.  A leg applies a preprocessor once, iterates
+the kernel, and applies the adjoint of the preprocessor once, which keeps
+the whole leg time reversible whenever the kernel is palindromic.  A
+preprocessor whose drift and kick weights sum to 1 has one kernel step
+folded in (the fourth-order kappa); a leg of N steps then runs the kernel
+N - 2 times instead of N, so it always spans N*h.  Processed, fourth-order
+and Verlet legs all run through integrate_leg.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DegenerateParameter, NonFiniteState
+from .errors import DegenerateParameter, InsufficientSteps, NonFiniteState
 
 if TYPE_CHECKING:
     from .targets import TargetModel
 
 # Consistency sums (drift weights and kick weights of a kernel must equal 1,
-# those of a processor must vanish) are enforced to this tolerance.
+# those of a preprocessor must both vanish or both equal 1) are enforced to
+# this tolerance.
 CONSISTENCY_TOL = 1e-14
 
 
@@ -139,44 +144,43 @@ class FlowSchedule:
 
 
 @dataclass(frozen=True)
-class FamilyParams:
-    """Provenance record for the two-stage processed family."""
-
-    b: float
-    a: float
-    c: float
-    d: float
-
-
-@dataclass(frozen=True)
 class ProcessedIntegrator:
-    """Kernel plus symmetric pre/postprocessor (post is the adjoint of pre)."""
+    """Kernel plus preprocessor; the postprocessor is the preprocessor's adjoint.
+
+    The preprocessor's drift and kick-weight sums are both 0 (a pure
+    processor) or both 1: one kernel step is folded into it, as in
+    kappa = kernel . processor.  A leg of N steps then runs the kernel
+    N - 2*folded times and always spans N*h.
+    """
 
     kernel: FlowSchedule
     pre: FlowSchedule
-    post: FlowSchedule
-    params: Optional[FamilyParams] = None
 
     def __post_init__(self) -> None:
-        if self.post != self.pre.adjoint():
-            raise ValueError("postprocessor must be the adjoint of the preprocessor")
         if abs(self.kernel.drift_sum() - 1.0) > CONSISTENCY_TOL:
             raise ValueError("kernel drift coefficients must sum to 1")
         if abs(self.kernel.kick_weight_sum() - 1.0) > CONSISTENCY_TOL:
             raise ValueError("kernel kick weights must sum to 1")
-        if abs(self.pre.drift_sum()) > CONSISTENCY_TOL:
-            raise ValueError("processor drift coefficients must sum to 0")
-        if abs(self.pre.kick_weight_sum()) > CONSISTENCY_TOL:
-            raise ValueError("processor kick coefficients must sum to 0")
+        self.folded  # raises unless the preprocessor sums are both 0 or both 1
 
-    @classmethod
-    def symmetric(
-        cls,
-        kernel: FlowSchedule,
-        pre: FlowSchedule,
-        params: Optional[FamilyParams] = None,
-    ) -> "ProcessedIntegrator":
-        return cls(kernel, pre, pre.adjoint(), params)
+    @cached_property
+    def post(self) -> FlowSchedule:
+        return self.pre.adjoint()
+
+    @cached_property
+    def folded(self) -> int:
+        """Kernel steps folded into the preprocessor, 0 or 1, read off its sums."""
+        sums = (self.pre.drift_sum(), self.pre.kick_weight_sum())
+        for folded in (0, 1):
+            if all(abs(s - folded) <= CONSISTENCY_TOL for s in sums):
+                return folded
+        raise ValueError("processor drift and kick-weight sums must both be 0, or both be 1")
+
+    def kernel_steps(self, n_steps: int) -> int:
+        """Kernel steps in a leg of N steps: N - 2*folded."""
+        if n_steps < 1 + self.folded:
+            raise InsufficientSteps(f"a leg of this integrator needs n_steps >= {1 + self.folded}")
+        return n_steps - 2 * self.folded
 
 
 def build_kernel(b: float) -> FlowSchedule:
@@ -215,10 +219,7 @@ def build_processor(c: float, d: float) -> FlowSchedule:
 def processed_family(b: float, c: float, d: float) -> ProcessedIntegrator:
     """Three-parameter symmetric processed integrator built from the two-stage
     kernel and the minimal two-stage processor."""
-    kernel = build_kernel(b)
-    a = kernel.flows[1].coefficient
-    pre = build_processor(c, d)
-    return ProcessedIntegrator.symmetric(kernel, pre, FamilyParams(b=b, a=a, c=float(c), d=float(d)))
+    return ProcessedIntegrator(build_kernel(b), build_processor(c, d))
 
 
 def _run_flows(
@@ -235,7 +236,8 @@ def _run_flows(
     evaluation: any drift with nonzero coefficient invalidates it, and kicks
     with coefficient exactly zero are skipped outright (no evaluation, no
     counter increment).  With ``fuse=False`` every kick re-evaluates; the
-    trajectory is bit-identical either way.
+    trajectory is bit-identical either way.  Finiteness is checked once, at
+    the end: no flow turns a non-finite entry finite again.
     """
     grad: Optional[np.ndarray] = None
     hvp: Optional[np.ndarray] = None
@@ -246,8 +248,6 @@ def _run_flows(
             continue
         if f.kind is FlowKind.DRIFT:
             q = q + (coeff * h) * target.inv_mass_apply(p)
-            if not np.isfinite(q).all():
-                raise NonFiniteState("drift produced a non-finite position")
             grad = None
             hvp = None
         else:
@@ -262,14 +262,9 @@ def _run_flows(
                         hvp = target.hessian_vec(q, target.inv_mass_apply(grad))
                     force = force - (2.0 * f.c_mod * h2) * hvp
             p = p - (coeff * h) * force
-            if not np.isfinite(p).all():
-                raise NonFiniteState("kick produced a non-finite momentum")
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+        raise NonFiniteState("the flows produced a non-finite state")
     return q, p
-
-
-def _leg_flows(pre: FlowSchedule, kernel: FlowSchedule, n: int, post: FlowSchedule) -> Iterator[ElementaryFlow]:
-    """Flows of a leg in the order they act: pre, n kernel steps, post."""
-    return chain(pre.flows, chain.from_iterable(repeat(kernel.flows, n)), post.flows)
 
 
 def integrate_leg(
@@ -280,20 +275,20 @@ def integrate_leg(
     target: "TargetModel",
     fuse: bool = True,
 ) -> tuple[PhaseState, int]:
-    """Run one processed leg: pre, N kernel steps, post.
+    """Run one leg of N steps spanning N*h: pre, N - 2*folded kernel steps, post.
 
     Returns the final state and the number of gradient evaluations consumed,
     which with fusion is 3N+5 for the processed family, 3N+1 with empty
     processors and N+1 for leapfrog.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    kernel_steps = integ.kernel_steps(n_steps)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive and finite")
     if state.dim != target.dim:
         raise ValueError(f"state dimension {state.dim} != target dimension {target.dim}")
     before = target.grad_evals
-    flows = _leg_flows(integ.pre, integ.kernel, n_steps, integ.post)
+    kernel = chain.from_iterable(repeat(integ.kernel.flows, kernel_steps))
+    flows = chain(integ.pre.flows, kernel, integ.post.flows)
     q, p = _run_flows(state.q, state.p, flows, h, target, fuse)
     return PhaseState(q, p), target.grad_evals - before
 
@@ -314,15 +309,17 @@ def _fused_count(flows: Iterable[ElementaryFlow], cached: bool) -> tuple[int, bo
 
 
 def leg_gradient_count(integ: ProcessedIntegrator, n_steps: int) -> int:
-    """Gradient evaluations a fused leg will consume, from the schedule alone.
+    """Gradient evaluations a fused leg of N steps will consume, from the
+    schedule alone.
 
     A kernel's drifts sum to 1, so every kernel step contains a drift and
     leaves the same cache state whatever state it starts from: kernel steps
-    2..N all cost the same, and the count takes O(1) work in N.
+    2..N - 2*folded all cost the same, and the count takes O(1) work in N.
     """
+    kernel_steps = integ.kernel_steps(n_steps)
     count, cached = _fused_count(integ.pre, False)
-    if n_steps > 0:
+    if kernel_steps > 0:
         first, cached = _fused_count(integ.kernel, cached)
         steady, _ = _fused_count(integ.kernel, cached)
-        count += first + (n_steps - 1) * steady
+        count += first + (kernel_steps - 1) * steady
     return count + _fused_count(integ.post, cached)[0]

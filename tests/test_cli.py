@@ -93,12 +93,6 @@ class TestSweep:
         assert run_cli(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_empty_h_list_writes_header_only(self, tmp_path):
-        out = tmp_path / "empty.csv"
-        code = run_cli(["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "", "--out", str(out)])
-        assert code == 0
-        assert out.read_text() == SWEEP_CSV_HEADER + "\n"
-
     def test_default_grid_size(self, tmp_path):
         out = tmp_path / "grid.csv"
         code = run_cli(["sweep", "--integrator", "leapfrog", "--dim", "16", "--samples", "50",
@@ -133,7 +127,7 @@ class TestSweep:
         assert run_cli(["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1,abc"]) == 2
 
     def test_unwritable_output_reports_path(self, capsys):
-        code = run_cli(["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "",
+        code = run_cli(["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1", "--samples", "5",
                         "--out", "/nonexistent-dir/x.csv"])
         assert code == 2
         assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
@@ -235,6 +229,8 @@ SWEEP_LEAPFROG = ["sweep", "--integrator", "leapfrog", "--dim", "8", "--samples"
         (SWEEP_LEAPFROG + ["--h", "0.1", "--samples", "0"], None),
         (SWEEP_LEAPFROG + ["--h", "-1"], None),
         (SWEEP_LEAPFROG + ["--h", "nan"], None),
+        (SWEEP_LEAPFROG + ["--h", ""], None),
+        (SWEEP_LEAPFROG + ["--h", ","], None),
         (SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "0"], None),
         (SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "nan"], None),
         (SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "inf"], None),
@@ -251,7 +247,7 @@ SWEEP_LEAPFROG = ["sweep", "--integrator", "leapfrog", "--dim", "8", "--samples"
         (SWEEP_LEAPFROG + ["--h", "0.1"], {"full": "no"}),
         (["table2"], {"dim": 8}),
     ],
-    ids=["dim-0", "samples-0", "h-negative", "h-nan", "leg-time-0", "leg-time-nan", "leg-time-inf",
+    ids=["dim-0", "samples-0", "h-negative", "h-nan", "h-empty", "h-comma", "leg-time-0", "leg-time-nan", "leg-time-inf",
          "config-dim-abc", "rowlands-order-h", "tune-h-negative", "sweep-h-grid-0", "rho-scan-h-grid-0",
          "rho-scan-h-negative", "config-dim-float", "config-samples-float", "config-seed-float",
          "config-h-bool", "config-full-string", "table2-config-dim"],

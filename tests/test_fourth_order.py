@@ -10,11 +10,11 @@ from symphmc import (
     PhaseState,
     anharmonic_model,
     gaussian_model,
-    modified_force,
+    modified_kick,
     momentum_flip,
     order_estimate,
+    rowlands_integrator,
     rowlands_leg,
-    rowlands_scheme,
 )
 from symphmc.fourth_order import (
     KAPPA_ALPHA_1,
@@ -25,13 +25,18 @@ from symphmc.fourth_order import (
     KERNEL_KICK_B,
     KERNEL_KICK_C,
     POSITIVE_COEFFICIENTS,
-    effective_kick_coefficient,
 )
 from symphmc.splitting import _run_flows
 
 from conftest import assert_states_close
 
-SCHEME = rowlands_scheme()
+SCHEME = rowlands_integrator()
+
+
+def modified_force(q, b_mod, c_mod, h, target):
+    """The force of one unit modified_kick flow, read off its momentum from p = 0."""
+    _, p = _run_flows(q, np.zeros_like(q), (modified_kick(1.0, b_mod, c_mod),), h, target)
+    return -p / h
 
 
 class TestCoefficients:
@@ -46,18 +51,19 @@ class TestCoefficients:
         assert KERNEL_KICK_C == Fraction(1, 48)
 
     def test_schedules_carry_the_rationals(self):
-        mk, dr, ki, dr2 = SCHEME.kappa.flows
+        mk, dr, ki, dr2 = SCHEME.pre.flows
         assert (mk.kind, mk.b_mod, mk.c_mod) == (FlowKind.MODIFIED_KICK, float(KAPPA_BETA_1), float(KAPPA_GAMMA_1))
         assert (dr.kind, dr.coefficient) == (FlowKind.DRIFT, float(KAPPA_ALPHA_1))
         assert (ki.kind, ki.coefficient) == (FlowKind.KICK, float(KAPPA_BETA_2))
         assert (dr2.kind, dr2.coefficient) == (FlowKind.DRIFT, float(KAPPA_ALPHA_2))
-        assert all(f.coefficient > 0 for f in SCHEME.kappa.flows)
+        assert all(f.coefficient > 0 for f in SCHEME.pre.flows)
         assert all(f.coefficient > 0 for f in SCHEME.kernel.flows)
 
     def test_consistency_sums(self):
         # drifts: 6/7 + 1/7 = 1; kick weights: 23/72 + 49/72 = 1
-        assert abs(SCHEME.kappa.drift_sum() - 1.0) <= 1e-15
-        assert abs(SCHEME.kappa.kick_weight_sum() - 1.0) <= 1e-15
+        assert abs(SCHEME.pre.drift_sum() - 1.0) <= 1e-15
+        assert abs(SCHEME.pre.kick_weight_sum() - 1.0) <= 1e-15
+        assert SCHEME.folded == 1
         assert abs(SCHEME.kernel.drift_sum() - 1.0) <= 1e-15
         assert abs(SCHEME.kernel.kick_weight_sum() - 1.0) <= 1e-15
 
@@ -103,18 +109,24 @@ class TestRowlandsLeg:
         with pytest.raises(InsufficientSteps):
             rowlands_leg(PhaseState([0.1], [0.0]), 0.1, 1, anharmonic_model(1))
 
+    def test_validates_like_integrate_leg(self):
+        with pytest.raises(ValueError):
+            rowlands_leg(PhaseState([0.1], [0.0]), -0.1, 4, anharmonic_model(1))
+        with pytest.raises(ValueError):
+            rowlands_leg(PhaseState([0.1], [0.0]), 0.1, 4, anharmonic_model(2))
+
     def test_two_steps_is_kappa_star_kappa(self):
         tgt = anharmonic_model(2)
         s0 = PhaseState(np.array([0.4, -0.3]), np.array([0.2, 0.6]))
-        out = rowlands_leg(s0, 0.3, 2, tgt, SCHEME)
-        q, p = _run_flows(s0.q, s0.p, SCHEME.kappa.flows + SCHEME.kappa_star.flows, 0.3, tgt)
+        out = rowlands_leg(s0, 0.3, 2, tgt)
+        q, p = _run_flows(s0.q, s0.p, SCHEME.pre.flows + SCHEME.post.flows, 0.3, tgt)
         assert np.array_equal(out.q, q) and np.array_equal(out.p, p)
 
     def test_reversibility_with_momentum_flip(self):
         tgt = anharmonic_model(2)
         s0 = PhaseState(np.array([0.5, -0.2]), np.array([0.1, 0.7]))
-        fwd = rowlands_leg(s0, 0.2, 8, tgt, SCHEME)
-        back = rowlands_leg(momentum_flip(fwd), 0.2, 8, tgt, SCHEME)
+        fwd = rowlands_leg(s0, 0.2, 8, tgt)
+        back = rowlands_leg(momentum_flip(fwd), 0.2, 8, tgt)
         assert_states_close(momentum_flip(back), s0, rtol=1e-10)
 
     def test_volume_preservation(self):
@@ -123,7 +135,7 @@ class TestRowlandsLeg:
         eps = 1e-6
 
         def leg(x):
-            out = rowlands_leg(PhaseState(x[:2], x[2:]), 0.25, 4, tgt, SCHEME)
+            out = rowlands_leg(PhaseState(x[:2], x[2:]), 0.25, 4, tgt)
             return np.concatenate([out.q, out.p])
 
         jac = np.empty((4, 4))
@@ -134,24 +146,23 @@ class TestRowlandsLeg:
         assert abs(np.linalg.det(jac) - 1.0) <= 1e-6
 
     def test_oscillator_leg_matches_shear_product(self):
-        # on the unit oscillator every flow is a shear whose kick slope is
-        # the effective coefficient of the modified force
+        # on the unit oscillator every flow is a shear; a modified kick's
+        # force is (b_mod - 2 h^2 c_mod) q, so that is its kick slope
         tgt = gaussian_model(1)
         h, n = 0.3, 4
         s0 = PhaseState(np.array([0.8]), np.array([-0.4]))
-        out = rowlands_leg(s0, h, n, tgt, SCHEME)
+        out = rowlands_leg(s0, h, n, tgt)
 
         m = np.eye(2)
-        flows = (
-            list(SCHEME.kappa.flows)
-            + list(SCHEME.kernel.flows) * (n - 2)
-            + list(SCHEME.kappa_star.flows)
-        )
+        flows = list(SCHEME.pre.flows) + list(SCHEME.kernel.flows) * (n - 2) + list(SCHEME.post.flows)
         for f in flows:
             if f.kind is FlowKind.DRIFT:
                 step = np.array([[1.0, f.coefficient * h], [0.0, 1.0]])
             else:
-                step = np.array([[1.0, 0.0], [-effective_kick_coefficient(f, h) * h, 1.0]])
+                slope = f.coefficient
+                if f.kind is FlowKind.MODIFIED_KICK:
+                    slope *= f.b_mod - 2.0 * f.c_mod * h * h
+                step = np.array([[1.0, 0.0], [-slope * h, 1.0]])
             m = step @ m
         expected = m @ np.array([s0.q[0], s0.p[0]])
         assert math.isclose(out.q[0], expected[0], rel_tol=1e-12)
@@ -182,9 +193,3 @@ class TestOrderEstimate:
             order_estimate(anharmonic_model(1), "nope", 2.0, 0.25, levels=3)
         with pytest.raises(ValueError):
             order_estimate(anharmonic_model(1), "processed", 2.0, 0.25, levels=1)
-
-    def test_effective_coefficient_rejects_drifts(self):
-        from symphmc import drift
-
-        with pytest.raises(ValueError):
-            effective_kick_coefficient(drift(1.0), 0.1)

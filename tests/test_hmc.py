@@ -11,8 +11,10 @@ from symphmc import (
     energy,
     gaussian_model,
     hmc_run,
+    leg_gradient_count,
     oscillator_1d,
     PhaseState,
+    ProcessedIntegrator,
     rho,
     stability_length,
 )
@@ -90,6 +92,21 @@ class TestHmcRun:
         assert np.max(np.abs(s_fast - s_gen)) <= 1e-10
         assert np.max(np.abs(st_fast.energy_errors - st_gen.energy_errors)) <= 1e-10
 
+    def test_fast_path_honours_a_folded_kernel_step(self):
+        # leapfrog with one kernel step folded into its preprocessor is
+        # leapfrog: both paths must run N - 2 kernel steps between pre and post
+        plain = named_integrator("leapfrog")
+        folded = ProcessedIntegrator(plain.kernel, plain.kernel)
+        tgt = gaussian_model(6)
+        runs = [
+            hmc_run(tgt, HmcConfig(h=0.3, n_samples=50, seed=2, integrator=integ), use_fast_path=fast)
+            for integ, fast in ((plain, True), (folded, True), (folded, False))
+        ]
+        for samples, stats in runs[1:]:
+            assert stats.accepted == runs[0][1].accepted
+            assert stats.grad_evals == runs[0][1].grad_evals
+            assert np.max(np.abs(samples - runs[0][0])) <= 1e-10
+
     def test_fast_path_rejected_for_nonlinear_target(self):
         tgt = anharmonic_model(2)
         assert not fast_path_available(tgt, ROW2)
@@ -104,6 +121,13 @@ class TestHmcRun:
         assert np.all(np.isfinite(samples))
         assert 0.5 < stats.acceptance_rate <= 1.0
         assert stats.grad_evals == stats.proposed * (3 * cfg.n_steps + 5)
+
+    def test_divergent_legs_are_billed_the_closed_form_count(self):
+        integ = named_integrator("leapfrog")
+        cfg = HmcConfig(h=1.0, n_samples=20, seed=0, integrator=integ, leg_time=20.0)
+        _, stats = hmc_run(anharmonic_model(2), cfg)
+        assert np.isinf(stats.energy_errors).any()
+        assert stats.grad_evals == stats.proposed * leg_gradient_count(integ, cfg.n_steps)
 
     def test_exact_flow_generic_path_matches_fast(self):
         tgt = gaussian_model(4)

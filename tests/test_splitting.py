@@ -22,7 +22,7 @@ from symphmc import (
     processed_family,
 )
 from symphmc.catalog import INTEGRATOR_NAMES, named_integrator
-from symphmc.fourth_order import rowlands_scheme
+from symphmc.fourth_order import rowlands_integrator
 from symphmc.splitting import _run_flows
 
 from conftest import assert_states_close
@@ -149,33 +149,47 @@ class TestAdjoint:
         assert s.adjoint().adjoint() == s
 
     def test_rowlands_kappa_reversal(self):
-        scheme = rowlands_scheme()
-        assert scheme.kappa_star.flows == tuple(reversed(scheme.kappa.flows))
+        integ = rowlands_integrator()
+        assert integ.post.flows == tuple(reversed(integ.pre.flows))
 
 
 class TestProcessedIntegrator:
-    def test_post_must_be_adjoint(self):
-        kernel = build_kernel(0.348674)
-        pre = build_processor(-0.07564, 0.06972)
-        with pytest.raises(ValueError):
-            ProcessedIntegrator(kernel, pre, pre)
-
     def test_bad_kernel_sums_rejected(self):
         broken = FlowSchedule((kick(0.5), drift(0.9), kick(0.5)))
         with pytest.raises(ValueError):
-            ProcessedIntegrator.symmetric(broken, FlowSchedule())
+            ProcessedIntegrator(broken, FlowSchedule())
 
     def test_bad_processor_sums_rejected(self):
         kernel = build_kernel(0.348674)
         with pytest.raises(ValueError):
-            ProcessedIntegrator.symmetric(kernel, FlowSchedule((kick(0.1),)))
+            ProcessedIntegrator(kernel, FlowSchedule((kick(0.1),)))
         with pytest.raises(ValueError):
-            ProcessedIntegrator.symmetric(kernel, FlowSchedule((drift(0.1),)))
+            ProcessedIntegrator(kernel, FlowSchedule((drift(0.1),)))
+        with pytest.raises(ValueError):  # a folded kernel step needs both sums at 1
+            ProcessedIntegrator(kernel, FlowSchedule((drift(1.0),)))
 
     def test_params_provenance(self):
         integ = processed_family(0.348674, -0.07564, 0.06972)
-        assert integ.params.b == 0.348674
-        assert integ.params.a == 0.348674 / (6 * 0.348674 - 1)
+        assert integ.kernel.flows[2].coefficient == 0.348674
+        assert integ.kernel.flows[1].coefficient == 0.348674 / (6 * 0.348674 - 1)
+        assert [f.coefficient for f in integ.pre] == [0.06972, -0.07564, -0.06972, 0.07564]
+        assert integ.post == integ.pre.adjoint()
+        assert integ.folded == 0
+
+    def test_folded_kernel_step_keeps_the_leg_span(self):
+        # leapfrog with one kernel step folded into pre (and so into post)
+        # runs the same flows as plain leapfrog over N steps
+        plain = named_integrator("leapfrog")
+        folded = ProcessedIntegrator(plain.kernel, plain.kernel)
+        assert folded.folded == 1
+        s0 = PhaseState(np.array([0.3, -0.6]), np.array([0.5, 0.1]))
+        for n in (2, 3, 7):
+            a, ga = integrate_leg(s0, 0.2, n, folded, anharmonic_model(2))
+            b, gb = integrate_leg(s0, 0.2, n, plain, anharmonic_model(2))
+            assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
+            assert ga == gb == leg_gradient_count(folded, n)
+        with pytest.raises(ValueError):
+            integrate_leg(s0, 0.2, 1, folded, anharmonic_model(2))
 
 
 class TestApplyFlow:
@@ -203,8 +217,10 @@ class TestApplyFlow:
 
 
 def walked_gradient_count(integ, n_steps):
-    """Reference count: walk every flow of the fused leg, O(N)."""
-    flows = (*integ.pre, *(integ.kernel.flows * n_steps), *integ.post)
+    """Reference count: walk every flow of the fused leg, O(N).  A
+    preprocessor whose drifts sum to 1 holds one folded kernel step."""
+    folded = round(integ.pre.drift_sum())
+    flows = (*integ.pre, *(integ.kernel.flows * (n_steps - 2 * folded)), *integ.post)
     count = 0
     cached = False
     for f in flows:
@@ -241,10 +257,12 @@ class TestGradientCounts:
         _, grads = integrate_leg(s0, 0.02, n_steps, integ, tgt)
         assert grads == expected
 
-    @pytest.mark.parametrize("name", [n for n in INTEGRATOR_NAMES if n != "rowlands"])
-    @pytest.mark.parametrize("n_steps", [1, 2, 3, 10, 1001])
-    def test_closed_form_matches_walk(self, name, n_steps):
-        integ = named_integrator(name)
+    @pytest.mark.parametrize(
+        "n_steps, name",
+        [(n, name) for name in INTEGRATOR_NAMES for n in (1, 2, 3, 10, 1001) if (name, n) != ("rowlands", 1)],
+    )
+    def test_closed_form_matches_walk(self, n_steps, name):
+        integ = rowlands_integrator() if name == "rowlands" else named_integrator(name)
         assert leg_gradient_count(integ, n_steps) == walked_gradient_count(integ, n_steps)
 
     @given(
