@@ -2,8 +2,8 @@
 """Generate the Gaussian-benchmark sweep CSVs for all integrators and dims.
 
 Writes one CSV per (integrator, dim) into --out-dir, using the default
-geometric step grid.  Desk scale keeps d = 4096 at 1000 samples; pass
---full for 5000 everywhere.
+geometric step grid.  Desk scale keeps d = 4096 at 1000 samples; --full
+passes --samples 5000 to every sweep.
 """
 import argparse
 import sys
@@ -30,7 +30,7 @@ def main() -> int:
             argv = ["sweep", "--integrator", name, "--dim", str(dim),
                     "--seed", str(args.seed), "--out", str(out)]
             if args.full:
-                argv.append("--full")
+                argv += ["--samples", "5000"]
             print(f"-> {out}")
             code = cli_main(argv)
             if code != 0:

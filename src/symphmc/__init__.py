@@ -45,7 +45,6 @@ from .targets import (
 )
 from .hmc import (
     ChainStats,
-    ExactGaussianFlow,
     HmcConfig,
     SweepPoint,
     efficiency_curve,

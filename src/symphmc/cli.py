@@ -77,26 +77,18 @@ def _integrator(text: str) -> str:
     return text
 
 
-def _switch(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError("must be true or false")
-    return value
-
-
 # Each option's converter and flag help.  A flag's text, a config value (as
 # the text the flag would carry) and a default all pass through the one
-# converter; `full` is a switch, so its config value must be a JSON bool.
-# `init` has no flag: it is a config key of `tune` only.
+# converter.  `init` has no flag: it is a config key of `tune` only.
 OPTIONS = {
     "integrator": (_integrator, "integrator name"),
     "dim": (_whole(1), "target dimension"),
     "h": (_steps, "step size(s); comma separated where a list is accepted"),
     "h_grid": (_whole(1), "number of points of the generated step-size grid"),
     "leg_time": (_positive, "leg duration N*h"),
-    "samples": (_whole(1), "chain length (default 5000 up to d=1024 or with --full, else 1000)"),
+    "samples": (_whole(1), "chain length (default 5000 up to d=1024, else 1000)"),
     "seed": (_whole(0), "base seed; chain i uses seed ^ i"),
     "out": (str, "output file (default stdout)"),
-    "full": (_switch, "full-length chains (5000 samples) at every dimension"),
     "init": (_init, None),
 }
 
@@ -149,7 +141,7 @@ def _options(args: argparse.Namespace) -> dict:
             continue
         convert = OPTIONS[name][0]
         try:
-            opts[name] = convert(raw if convert is _switch else _flag_text(raw))
+            opts[name] = convert(_flag_text(raw))
         except ValueError as exc:
             raise CliUsageError(f"bad {where} value {json.dumps(raw)}: {exc}") from exc
     return opts
@@ -230,16 +222,14 @@ def cmd_sweep(opts: dict) -> int:
     if name == "rowlands":
         raise CliUsageError("rowlands is not an HMC leg integrator; see rowlands-order")
     dim = opts["dim"]
-    samples = opts.get("samples", 5000 if (dim <= 1024 or opts.get("full")) else 1000)
+    samples = opts.get("samples", 5000 if dim <= 1024 else 1000)
     h_values = opts.get("h")
     if h_values is None:
         h_values = default_h_grid(name, dim, opts["h_grid"])
 
-    integ = catalog.named_integrator(name)
-    target = gaussian_model(dim)
-    template = HmcConfig(h=h_values[0], n_samples=samples, seed=opts["seed"], integrator=integ,
-                         leg_time=opts["leg_time"])
-    points = efficiency_curve(target, integ, h_values, template, workers=_workers(len(h_values)))
+    cfg = HmcConfig(h=h_values[0], n_samples=samples, seed=opts["seed"],
+                    integrator=catalog.named_integrator(name), leg_time=opts["leg_time"])
+    points = efficiency_curve(gaussian_model(dim), h_values, cfg, workers=_workers(len(h_values)))
     lines = [SWEEP_CSV_HEADER]
     for pt in points:
         fields = (name, str(dim), _fmt(pt.h), str(pt.n_steps), _fmt(pt.grad_per_leg), str(pt.accepted),
@@ -325,7 +315,7 @@ COMMANDS = {
     "stability": (cmd_stability, "print kernel stability-interval lengths", {"integrator": None, "out": None}),
     "sweep": (cmd_sweep, "Gaussian efficiency sweep; CSV output", {
         "integrator": None, "dim": "1024", "h": None, "h_grid": "12", "leg_time": "5",
-        "samples": None, "seed": "1", "out": None, "full": None,
+        "samples": None, "seed": "1", "out": None,
     }),
     "tune": (cmd_tune, "minimize the rho metric over (b, c, d)", {
         "integrator": None, "h": "3.0", "out": None, "init": None,
@@ -347,9 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                 continue
             if default is not None:
                 flag_help += f" (default {default})"
-            if name == "full":
-                sp.add_argument(flag, action="store_true", default=None, help=flag_help)
-            elif name == "integrator":
+            if name == "integrator":
                 sp.add_argument(flag, choices=catalog.INTEGRATOR_NAMES, help=flag_help)
             else:
                 sp.add_argument(flag, dest=name, help=flag_help)

@@ -1,7 +1,7 @@
 """Fourth-order positive-coefficient integration via modified-potential kicks.
 
 The kernel is a velocity-Verlet-shaped step whose kicks use the modified
-potential b*V - h^2*c*(grad V)^T M^{-1} (grad V) at (b, c) = (1/2, 1/48).
+potential b*V - h^2*c*|grad V|^2 at (b, c) = (1/2, 1/48).
 Folding one kernel step into the processor gives the map kappa, which is
 the preprocessor of a ProcessedIntegrator like any other: a leg of N steps
 runs kappa, N-2 kernel steps, then the adjoint of kappa.  Every substep

@@ -90,11 +90,12 @@ def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> Tran
     return TransferMatrix(m11, m12, m21, m22)
 
 
-def _is_stable(m11, m12, m21) -> bool:
-    # A unit-determinant palindromic map has m12*m21 = m11^2 - 1, so the
-    # second test alone excludes the |m11| = 1 boundary; the first admits
-    # m11 == 1.0, which is what a tiny step rounds m11 to.
-    return bool(abs(m11) <= 1.0 and (m12 * m21) < 0.0)
+def _is_stable(m11, m12, m21):
+    # Scalar or per-mode entries.  A unit-determinant palindromic map has
+    # m12*m21 = m11^2 - 1, so the second test alone excludes the |m11| = 1
+    # boundary; the first admits m11 == 1.0, which is what a tiny step
+    # rounds m11 to.
+    return (abs(m11) <= 1.0) & (m12 * m21 < 0.0)
 
 
 def spectrum(m: TransferMatrix) -> KernelSpectrum:
@@ -119,8 +120,7 @@ def _first_instability(kernel: FlowSchedule) -> Optional[tuple[float, float]]:
     for start in range(1, n_total + 1, chunk):
         stop = min(start + chunk, n_total + 1)
         hs = np.arange(start, stop, dtype=float) * SCAN_STEP
-        m11, m12, m21, _ = schedule_matrix(kernel, hs)
-        stable = (np.abs(m11) <= 1.0) & ((m12 * m21) < 0.0)
+        stable = _is_stable(*schedule_matrix(kernel, hs)[:3])
         if stable.all():
             prev_stable = float(hs[-1])
             continue
@@ -140,8 +140,7 @@ def stability_length(kernel: FlowSchedule) -> float:
     lo, hi = bracket
     while hi - lo > STABILITY_TOL:
         mid = 0.5 * (lo + hi)
-        m11, m12, m21, _ = schedule_matrix(kernel, mid)
-        if _is_stable(m11, m12, m21):
+        if _is_stable(*schedule_matrix(kernel, mid)[:3]):
             lo = mid
         else:
             hi = mid
@@ -232,8 +231,7 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
     hs = np.linspace(hbar / n, hbar, n)
 
     k11, k12, k21, _ = schedule_matrix(integ.kernel, hs)
-    stable = (np.abs(k11) <= 1.0) & ((k12 * k21) < 0.0)
-    if not stable.all():
+    if not _is_stable(k11, k12, k21).all():
         return math.inf, math.inf, math.inf
     chi = np.sqrt(k12 / -k21)
     alpha, beta, gamma, delta = schedule_matrix(integ.pre, hs)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -30,23 +30,11 @@ from .targets import GaussianModel, TargetModel
 
 
 @dataclass(frozen=True)
-class ExactGaussianFlow:
-    """Marker integrator: the exact leg flow of a diagonal Gaussian target.
-
-    Conserves energy analytically, so every proposal is accepted; serves as
-    the zero-error baseline in tests.  Costs no gradient evaluations.
-    """
-
-
-Integrator = Union[ProcessedIntegrator, ExactGaussianFlow]
-
-
-@dataclass(frozen=True)
 class HmcConfig:
     h: float
     n_samples: int
     seed: int
-    integrator: Integrator
+    integrator: ProcessedIntegrator
     leg_time: float = 5.0
 
     def __post_init__(self) -> None:
@@ -82,23 +70,21 @@ def _make_stats(accepted: int, proposed: int, grad_evals: int, dh: np.ndarray, s
     rate = accepted / proposed
     gpl = grad_evals / proposed
     # acceptance enters as a percentage, matching the efficiency metric
-    apg = (100.0 * rate) / gpl if gpl > 0 else math.inf
+    apg = (100.0 * rate) / gpl
     return ChainStats(accepted, proposed, grad_evals, dh, rate, apg, seed)
 
 
 def energy(target: TargetModel, state: PhaseState) -> float:
-    """H = (1/2) p^T M^{-1} p + V(q)."""
-    kinetic = 0.5 * float(np.dot(state.p, target.inv_mass_apply(state.p)))
+    """H = (1/2) p^T p + V(q)."""
+    kinetic = 0.5 * float(np.dot(state.p, state.p))
     return kinetic + target.potential(state.q)
 
 
-def fast_path_available(target: TargetModel, integrator: Integrator) -> bool:
+def fast_path_available(target: TargetModel, integrator: ProcessedIntegrator) -> bool:
     """True when legs can run as per-mode 2x2 maps (diagonal Gaussian target,
     plain drift/kick flows)."""
     if not isinstance(target, GaussianModel):
         return False
-    if isinstance(integrator, ExactGaussianFlow):
-        return True
     flows = (*integrator.pre.flows, *integrator.kernel.flows, *integrator.post.flows)
     return all(f.kind in (FlowKind.DRIFT, FlowKind.KICK) for f in flows)
 
@@ -110,16 +96,13 @@ def hmc_run(
 ) -> tuple[np.ndarray, ChainStats]:
     """Run one chain of cfg.n_samples iterations.
 
-    Momentum refreshment draws standard normals (unit mass matrix; targets
-    with a nontrivial inverse mass only affect the drift and the kinetic
-    energy).  Returns the positions after each iteration (shape
-    (n_samples, dim)) and the chain statistics.  A leg that leaves the
-    floating-point range is treated as dH = +inf (certain rejection), never
-    a crash.  Fully deterministic given (target, cfg).
+    Momentum refreshment draws standard normals (unit mass matrix).  Returns
+    the positions after each iteration (shape (n_samples, dim)) and the
+    chain statistics.  A leg that leaves the floating-point range is treated
+    as dH = +inf (certain rejection), never a crash.  Fully deterministic
+    given (target, cfg).
     """
     tgt = target.fresh()
-    if isinstance(cfg.integrator, ExactGaussianFlow) and not isinstance(tgt, GaussianModel):
-        raise TypeError("the exact-flow integrator requires a Gaussian target")
     fast = fast_path_available(tgt, cfg.integrator) if use_fast_path is None else bool(use_fast_path)
     if fast and not fast_path_available(tgt, cfg.integrator):
         raise ValueError("fast path requires a Gaussian target and drift/kick flows")
@@ -160,16 +143,12 @@ def _metropolis(propose, q0: np.ndarray, n: int, rng: np.random.Generator):
 
 def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray):
     integ, n_steps = cfg.integrator, cfg.n_steps
-    t_leg = n_steps * cfg.h
 
     def propose(q: np.ndarray, p: np.ndarray):
         state = PhaseState(q, p)
         h_current = energy(tgt, state)
         try:
-            if isinstance(integ, ExactGaussianFlow):
-                proposal = tgt.exact_flow(state, t_leg)
-            else:
-                proposal = integrate_leg(state, cfg.h, n_steps, integ, tgt)[0]
+            proposal = integrate_leg(state, cfg.h, n_steps, integ, tgt)[0]
         except NonFiniteState:
             return math.inf, q
         return energy(tgt, proposal) - h_current, proposal.q
@@ -179,22 +158,15 @@ def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0:
 
 
 def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray):
-    n_steps = cfg.n_steps
+    integ, n_steps = cfg.integrator, cfg.n_steps
     x = cfg.h * tgt.frequencies  # per-mode step on the unit oscillator
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if isinstance(cfg.integrator, ExactGaussianFlow):
-            ang = n_steps * x
-            l11, l12 = np.cos(ang), np.sin(ang)
-            l21, l22 = -l12, l11
-            grad_per_leg = 0
-        else:
-            integ = cfg.integrator
-            kernel_n = schedule_matrix(integ.kernel, x).power(integ.kernel_steps(n_steps))
-            pre = schedule_matrix(integ.pre, x)
-            post = schedule_matrix(integ.post, x)
-            l11, l12, l21, l22 = post @ (kernel_n @ pre)
-            grad_per_leg = leg_gradient_count(integ, n_steps)
+        kernel_n = schedule_matrix(integ.kernel, x).power(integ.kernel_steps(n_steps))
+        pre = schedule_matrix(integ.pre, x)
+        post = schedule_matrix(integ.post, x)
+        l11, l12, l21, l22 = post @ (kernel_n @ pre)
+    grad_per_leg = leg_gradient_count(integ, n_steps)
 
     def propose(q: np.ndarray, p: np.ndarray):
         h_current = 0.5 * (q @ q + p @ p)
@@ -222,37 +194,33 @@ class SweepPoint:
 
 
 def _curve_point(job) -> SweepPoint:
-    target, integrator, h, leg_time, n_samples, seed = job
-    cfg = HmcConfig(h=h, n_samples=n_samples, seed=seed, integrator=integrator, leg_time=leg_time)
+    target, cfg = job
     _, stats = hmc_run(target, cfg)
     return SweepPoint(
-        h=h,
+        h=cfg.h,
         n_steps=cfg.n_steps,
         grad_per_leg=stats.grad_per_leg,
         accepted=stats.accepted,
         proposed=stats.proposed,
         acceptance_pct=100.0 * stats.acceptance_rate,
         accept_per_grad=stats.accept_per_grad,
-        seed=seed,
+        seed=cfg.seed,
     )
 
 
 def efficiency_curve(
     target: TargetModel,
-    integrator: Integrator,
     h_list: Sequence[float],
     cfg: HmcConfig,
     workers: int = 1,
 ) -> list[SweepPoint]:
-    """One chain per step size; chain i is seeded with cfg.seed ^ i.
+    """One chain of cfg.integrator per step size; chain i is seeded with
+    cfg.seed ^ i.
 
     The row with the best acceptance-per-gradient is flagged.  Results are
     bit-identical for any worker count because every point owns its stream.
     """
-    jobs = [
-        (target, integrator, float(h), cfg.leg_time, cfg.n_samples, cfg.seed ^ i)
-        for i, h in enumerate(h_list)
-    ]
+    jobs = [(target, replace(cfg, h=float(h), seed=cfg.seed ^ i)) for i, h in enumerate(h_list)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             points = list(pool.map(_curve_point, jobs))

@@ -228,16 +228,14 @@ def _run_flows(
     flows: Iterable[ElementaryFlow],
     h: float,
     target: "TargetModel",
-    fuse: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply flows in order, caching the gradient between kicks.
 
     The cache is keyed on the position being unchanged since the last force
     evaluation: any drift with nonzero coefficient invalidates it, and kicks
     with coefficient exactly zero are skipped outright (no evaluation, no
-    counter increment).  With ``fuse=False`` every kick re-evaluates; the
-    trajectory is bit-identical either way.  Finiteness is checked once, at
-    the end: no flow turns a non-finite entry finite again.
+    counter increment).  Finiteness is checked once, at the end: no flow
+    turns a non-finite entry finite again.
     """
     grad: Optional[np.ndarray] = None
     hvp: Optional[np.ndarray] = None
@@ -247,19 +245,19 @@ def _run_flows(
         if coeff == 0.0:
             continue
         if f.kind is FlowKind.DRIFT:
-            q = q + (coeff * h) * target.inv_mass_apply(p)
+            q = q + (coeff * h) * p
             grad = None
             hvp = None
         else:
-            if grad is None or not fuse:
+            if grad is None:
                 grad = target.gradient(q)
             if f.kind is FlowKind.KICK:
                 force = grad
             else:
                 force = f.b_mod * grad
                 if f.c_mod != 0.0:
-                    if hvp is None or not fuse:
-                        hvp = target.hessian_vec(q, target.inv_mass_apply(grad))
+                    if hvp is None:
+                        hvp = target.hessian_vec(q, grad)
                     force = force - (2.0 * f.c_mod * h2) * hvp
             p = p - (coeff * h) * force
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
@@ -273,13 +271,12 @@ def integrate_leg(
     n_steps: int,
     integ: ProcessedIntegrator,
     target: "TargetModel",
-    fuse: bool = True,
 ) -> tuple[PhaseState, int]:
     """Run one leg of N steps spanning N*h: pre, N - 2*folded kernel steps, post.
 
     Returns the final state and the number of gradient evaluations consumed,
-    which with fusion is 3N+5 for the processed family, 3N+1 with empty
-    processors and N+1 for leapfrog.
+    which is 3N+5 for the processed family, 3N+1 with empty processors and
+    N+1 for leapfrog.
     """
     kernel_steps = integ.kernel_steps(n_steps)
     if not (h > 0.0 and math.isfinite(h)):
@@ -289,7 +286,7 @@ def integrate_leg(
     before = target.grad_evals
     kernel = chain.from_iterable(repeat(integ.kernel.flows, kernel_steps))
     flows = chain(integ.pre.flows, kernel, integ.post.flows)
-    q, p = _run_flows(state.q, state.p, flows, h, target, fuse)
+    q, p = _run_flows(state.q, state.p, flows, h, target)
     return PhaseState(q, p), target.grad_evals - before
 
 
@@ -309,8 +306,8 @@ def _fused_count(flows: Iterable[ElementaryFlow], cached: bool) -> tuple[int, bo
 
 
 def leg_gradient_count(integ: ProcessedIntegrator, n_steps: int) -> int:
-    """Gradient evaluations a fused leg of N steps will consume, from the
-    schedule alone.
+    """Gradient evaluations a leg of N steps will consume, from the schedule
+    alone.
 
     A kernel's drifts sum to 1, so every kernel step contains a drift and
     leaves the same cache state whatever state it starts from: kernel steps

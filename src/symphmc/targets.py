@@ -15,7 +15,10 @@ from .splitting import PhaseState
 
 
 class TargetModel:
-    """Base class for targets proportional to exp(-V(q)) with unit mass matrix.
+    """Base class for targets proportional to exp(-V(q)).
+
+    The mass matrix is the identity: the momentum refresh draws from
+    N(0, I) and the kinetic energy is p^T p / 2.
 
     Subclasses implement ``_potential`` and ``_gradient`` and may override
     ``_hessian_vec`` (the default is a central finite difference of the
@@ -41,9 +44,6 @@ class TargetModel:
     def hessian_vec(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         self.hess_evals += 1
         return self._hessian_vec(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
-
-    def inv_mass_apply(self, p: np.ndarray) -> np.ndarray:
-        return p
 
     def exact_sample(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no exact sampler")

@@ -132,14 +132,14 @@ class TestSweep:
         assert code == 2
         assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
 
-    def test_full_flag_restores_long_chains(self, tmp_path):
+    def test_samples_flag_restores_long_chains(self, tmp_path):
         base = ["sweep", "--integrator", "leapfrog", "--dim", "2048",
                 "--h", "0.0002", "--seed", "1"]
-        desk, full = tmp_path / "desk.csv", tmp_path / "full.csv"
+        desk, long = tmp_path / "desk.csv", tmp_path / "long.csv"
         assert run_cli(base + ["--out", str(desk)]) == 0
-        assert run_cli(base + ["--full", "--out", str(full)]) == 0
+        assert run_cli(base + ["--samples", "5000", "--out", str(long)]) == 0
         assert desk.read_text().splitlines()[1].split(",")[6] == "1000"
-        assert full.read_text().splitlines()[1].split(",")[6] == "5000"
+        assert long.read_text().splitlines()[1].split(",")[6] == "5000"
 
     def test_thread_cap_must_be_integer(self, monkeypatch):
         monkeypatch.setenv("SYMPHMC_THREADS", "lots")
@@ -245,12 +245,13 @@ SWEEP_LEAPFROG = ["sweep", "--integrator", "leapfrog", "--dim", "8", "--samples"
         (SWEEP_LEAPFROG + ["--h", "0.1"], {"seed": 2.5}),
         (SWEEP_LEAPFROG, {"h": True}),
         (SWEEP_LEAPFROG + ["--h", "0.1"], {"full": "no"}),
+        (SWEEP_LEAPFROG + ["--h", "0.1"], {"full": True}),
         (["table2"], {"dim": 8}),
     ],
     ids=["dim-0", "samples-0", "h-negative", "h-nan", "h-empty", "h-comma", "leg-time-0", "leg-time-nan", "leg-time-inf",
          "config-dim-abc", "rowlands-order-h", "tune-h-negative", "sweep-h-grid-0", "rho-scan-h-grid-0",
          "rho-scan-h-negative", "config-dim-float", "config-samples-float", "config-seed-float",
-         "config-h-bool", "config-full-string", "table2-config-dim"],
+         "config-h-bool", "config-full-string", "config-full-true", "table2-config-dim"],
 )
 def test_invalid_values_are_usage_errors(argv, config, tmp_path, capsys):
     if config is not None:
@@ -275,7 +276,7 @@ class TestRowlandsOrder:
 DECLARED_FLAGS = {
     "table2": ["--out"],
     "stability": ["--integrator", "--out"],
-    "sweep": ["--integrator", "--dim", "--h", "--h-grid", "--leg-time", "--samples", "--seed", "--out", "--full"],
+    "sweep": ["--integrator", "--dim", "--h", "--h-grid", "--leg-time", "--samples", "--seed", "--out"],
     "tune": ["--integrator", "--h", "--out"],
     "rho-scan": ["--integrator", "--h", "--h-grid", "--out"],
     "rowlands-order": ["--h", "--leg-time"],
@@ -295,7 +296,8 @@ def test_help_lists_only_declared_flags(command, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["table2", "--dim", "5"], ["stability", "--h", "1"], ["sweep", "--int", "leapfrog"],
-     ["rowlands-order", "--out", "x"], ["tune", "--init", "0.3,0,0"]],
+     ["rowlands-order", "--out", "x"], ["tune", "--init", "0.3,0,0"],
+     ["sweep", "--integrator", "leapfrog", "--full"]],
 )
 def test_undeclared_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -326,7 +328,7 @@ def cheap_argv(draw):
     flags = st.sampled_from(DECLARED_FLAGS[command] + ALL_FLAGS)
     values = st.sampled_from(EDGE_TOKENS + VALID_TOKENS)
     for flag, value in draw(st.lists(st.tuples(flags, values), max_size=4)):
-        argv += [flag] if flag == "--full" else [flag, value]
+        argv += [flag, value]
     # each key the command declares, plus one it may not, present half the time
     keys = [flag[2:].replace("-", "_") for flag in DECLARED_FLAGS[command]] + ["dim"]
     value = st.sampled_from(CONFIG_VALUES)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from symphmc import (
-    ExactGaussianFlow,
     HmcConfig,
     anharmonic_model,
     efficiency_curve,
@@ -19,7 +18,7 @@ from symphmc import (
     stability_length,
 )
 from symphmc.catalog import named_integrator
-from symphmc.hmc import fast_path_available
+from symphmc.hmc import _metropolis, fast_path_available
 
 ROW2 = named_integrator("proc-3.0")
 
@@ -60,19 +59,16 @@ class TestConfig:
             HmcConfig(h=0.1, n_samples=1, seed=0, integrator=ROW2, leg_time=0.0)
 
 
+class TestMetropolis:
+    def test_zero_energy_change_is_always_accepted(self):
+        q0 = np.array([0.5, -1.0, 2.0])
+        samples, dh, accepted = _metropolis(lambda q, p: (0.0, q), q0, 500, np.random.default_rng(3))
+        assert accepted == 500
+        assert np.array_equal(dh, np.zeros(500))
+        assert np.array_equal(samples, np.tile(q0, (500, 1)))
+
+
 class TestHmcRun:
-    def test_exact_flow_accepts_everything(self):
-        cfg = HmcConfig(h=0.35, n_samples=500, seed=3, integrator=ExactGaussianFlow(), leg_time=5.0)
-        _, stats = hmc_run(gaussian_model(6), cfg)
-        assert stats.acceptance_rate == 1.0
-        assert stats.grad_evals == 0
-        assert stats.accept_per_grad == math.inf
-
-    def test_exact_flow_requires_gaussian(self):
-        cfg = HmcConfig(h=0.35, n_samples=5, seed=3, integrator=ExactGaussianFlow())
-        with pytest.raises(TypeError):
-            hmc_run(anharmonic_model(2), cfg)
-
     def test_deterministic_given_seed(self):
         cfg = HmcConfig(h=0.3, n_samples=200, seed=711, integrator=ROW2, leg_time=5.0)
         s1, st1 = hmc_run(gaussian_model(5), cfg)
@@ -129,14 +125,6 @@ class TestHmcRun:
         assert np.isinf(stats.energy_errors).any()
         assert stats.grad_evals == stats.proposed * leg_gradient_count(integ, cfg.n_steps)
 
-    def test_exact_flow_generic_path_matches_fast(self):
-        tgt = gaussian_model(4)
-        cfg = HmcConfig(h=0.3, n_samples=50, seed=13, integrator=ExactGaussianFlow(), leg_time=5.0)
-        s_fast, st_fast = hmc_run(tgt, cfg, use_fast_path=True)
-        s_gen, st_gen = hmc_run(tgt, cfg, use_fast_path=False)
-        assert st_fast.acceptance_rate == st_gen.acceptance_rate == 1.0
-        assert np.max(np.abs(s_fast - s_gen)) <= 1e-12
-
     def test_grad_accounting(self):
         cfg = HmcConfig(h=0.5, n_samples=40, seed=9, integrator=ROW2, leg_time=5.0)
         _, stats = hmc_run(gaussian_model(4), cfg)
@@ -184,7 +172,7 @@ class TestEfficiencyCurve:
         tgt = gaussian_model(16)
         h_list = [0.02, 0.05, 0.1]
         cfg = HmcConfig(h=h_list[0], n_samples=150, seed=1000, integrator=ROW2, leg_time=5.0)
-        points = efficiency_curve(tgt, ROW2, h_list, cfg)
+        points = efficiency_curve(tgt, h_list, cfg)
         assert [pt.seed for pt in points] == [1000 ^ 0, 1000 ^ 1, 1000 ^ 2]
         assert sum(pt.best for pt in points) == 1
         best = max(points, key=lambda p: p.accept_per_grad)
@@ -192,14 +180,14 @@ class TestEfficiencyCurve:
 
     def test_empty_h_list(self):
         cfg = HmcConfig(h=0.1, n_samples=10, seed=0, integrator=ROW2)
-        assert efficiency_curve(gaussian_model(4), ROW2, [], cfg) == []
+        assert efficiency_curve(gaussian_model(4), [], cfg) == []
 
     def test_worker_count_does_not_change_results(self):
         tgt = gaussian_model(16)
         h_list = [0.02, 0.06]
         cfg = HmcConfig(h=h_list[0], n_samples=100, seed=4, integrator=ROW2, leg_time=5.0)
-        serial = efficiency_curve(tgt, ROW2, h_list, cfg, workers=1)
-        parallel = efficiency_curve(tgt, ROW2, h_list, cfg, workers=2)
+        serial = efficiency_curve(tgt, h_list, cfg, workers=1)
+        parallel = efficiency_curve(tgt, h_list, cfg, workers=2)
         assert serial == parallel
 
     def test_efficiency_ordering_at_moderate_dimension(self):
@@ -214,7 +202,7 @@ class TestEfficiencyCurve:
             integ = named_integrator(name)
             grid = default_h_grid(name, dim, 8)
             cfg = HmcConfig(h=grid[0], n_samples=1000, seed=7, integrator=integ, leg_time=5.0)
-            points = efficiency_curve(target, integ, grid, cfg)
+            points = efficiency_curve(target, grid, cfg)
             best[name] = max(pt.accept_per_grad for pt in points)
         assert best["proc-3.0"] > best["blcasa"] > best["leapfrog"]
 
@@ -225,7 +213,7 @@ class TestEfficiencyCurve:
         h_list = list(np.geomspace(0.3 * h_kernel / d, 0.95 * h_kernel / d, 6))
         n = 400
         cfg = HmcConfig(h=h_list[0], n_samples=n, seed=8, integrator=ROW2, leg_time=5.0)
-        points = efficiency_curve(tgt, ROW2, h_list, cfg)
+        points = efficiency_curve(tgt, h_list, cfg)
         for lo, hi in zip(points, points[1:]):
             a1, a2 = lo.acceptance_pct / 100, hi.acceptance_pct / 100
             noise = math.sqrt((a1 * (1 - a1) + a2 * (1 - a2)) / n + 1e-12)

@@ -196,7 +196,7 @@ class TestApplyFlow:
     def test_drift_shift(self):
         tgt = gaussian_model(2)
         s = PhaseState(np.zeros(2), np.array([2.0, 0.0]))
-        q, p = _run_flows(s.q, s.p, (drift(1.0),), 0.1, tgt, fuse=False)
+        q, p = _run_flows(s.q, s.p, (drift(1.0),), 0.1, tgt)
         assert np.allclose(q, [0.2, 0.0], atol=0, rtol=0)
         assert np.array_equal(p, s.p)
         assert tgt.grad_evals == 0
@@ -204,14 +204,14 @@ class TestApplyFlow:
     def test_zero_kick_skipped(self):
         tgt = gaussian_model(2)
         s = PhaseState(np.array([1.0, 2.0]), np.array([0.3, 0.4]))
-        q, p = _run_flows(s.q, s.p, (kick(0.0),), 0.1, tgt, fuse=False)
+        q, p = _run_flows(s.q, s.p, (kick(0.0),), 0.1, tgt)
         assert np.array_equal(q, s.q) and np.array_equal(p, s.p)
         assert tgt.grad_evals == 0
 
     def test_modified_kick_without_correction_is_scaled_kick(self):
         tgt = anharmonic_model(2)
         s = PhaseState(np.array([0.4, -0.8]), np.array([0.0, 0.1]))
-        _, p = _run_flows(s.q, s.p, (modified_kick(1.0, 0.25, 0.0),), 0.3, tgt.fresh(), fuse=False)
+        _, p = _run_flows(s.q, s.p, (modified_kick(1.0, 0.25, 0.0),), 0.3, tgt.fresh())
         expected = s.p - 0.3 * 0.25 * tgt.fresh().gradient(s.q)
         assert np.allclose(p, expected, rtol=0, atol=0)
 
@@ -232,6 +232,16 @@ def walked_gradient_count(integ, n_steps):
             count += 1
             cached = True
     return count
+
+
+def unfused_leg(state, h, n_steps, integ, target):
+    """Reference leg: one _run_flows call per flow, so every kick starts
+    from an empty gradient cache."""
+    flows = (*integ.pre, *(integ.kernel.flows * integ.kernel_steps(n_steps)), *integ.post)
+    q, p = state.q, state.p
+    for f in flows:
+        q, p = _run_flows(q, p, (f,), h, target)
+    return PhaseState(q, p)
 
 
 class TestGradientCounts:
@@ -275,15 +285,21 @@ class TestGradientCounts:
         integ = processed_family(b, c, d)
         assert leg_gradient_count(integ, n_steps) == walked_gradient_count(integ, n_steps)
 
-    def test_fusion_toggle_is_bit_identical(self):
-        integ = named_integrator("proc-3.0")
-        tgt = anharmonic_model(3)
+    @pytest.mark.parametrize("name", ["proc-3.0", "rowlands"])
+    def test_fused_leg_matches_unfused_reference(self, name):
+        integ = rowlands_integrator() if name == "rowlands" else named_integrator(name)
         s0 = PhaseState(np.array([0.4, -0.1, 0.2]), np.array([0.3, 0.2, -0.5]))
-        fused, g_fused = integrate_leg(s0, 0.2, 6, integ, tgt.fresh())
-        plain, g_plain = integrate_leg(s0, 0.2, 6, integ, tgt.fresh(), fuse=False)
+        fused_tgt, plain_tgt = anharmonic_model(3), anharmonic_model(3)
+        fused, _ = integrate_leg(s0, 0.2, 6, integ, fused_tgt)
+        plain = unfused_leg(s0, 0.2, 6, integ, plain_tgt)
         assert np.array_equal(fused.q, plain.q)
         assert np.array_equal(fused.p, plain.p)
-        assert g_plain > g_fused  # fusion saves the boundary kicks
+        # the cache saves the boundary kicks' gradients and, between the
+        # modified kicks of consecutive rowlands kernel steps, their
+        # Hessian-vector products
+        assert fused_tgt.grad_evals < plain_tgt.grad_evals
+        if name == "rowlands":
+            assert fused_tgt.hess_evals < plain_tgt.hess_evals
 
 
 class TestIntegrateLeg:
