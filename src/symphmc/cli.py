@@ -20,7 +20,7 @@ from . import catalog
 from .errors import NoDescent
 from .fourth_order import POSITIVE_COEFFICIENTS, order_estimate, rowlands_leg
 from .harmonic import rho, rho_norm, stability_length
-from .hmc import HmcConfig, efficiency_curve
+from .hmc import efficiency_curve
 from .splitting import PhaseState
 from .targets import anharmonic_model, gaussian_model
 from .tuning import tune
@@ -227,9 +227,8 @@ def cmd_sweep(opts: dict) -> int:
     if h_values is None:
         h_values = default_h_grid(name, dim, opts["h_grid"])
 
-    cfg = HmcConfig(h=h_values[0], n_samples=samples, seed=opts["seed"],
-                    integrator=catalog.named_integrator(name), leg_time=opts["leg_time"])
-    points = efficiency_curve(gaussian_model(dim), h_values, cfg, workers=_workers(len(h_values)))
+    points = efficiency_curve(gaussian_model(dim), h_values, catalog.named_integrator(name), samples,
+                              opts["seed"], opts["leg_time"], workers=_workers(len(h_values)))
     lines = [SWEEP_CSV_HEADER]
     for pt in points:
         fields = (name, str(dim), _fmt(pt.h), str(pt.n_steps), _fmt(pt.grad_per_leg), str(pt.accepted),

@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import UnstableStep
 from .splitting import FlowKind, FlowSchedule, ProcessedIntegrator
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# stability scan spacing and bisection tolerance; rho grid size and golden-section tolerance
+# stability scan spacing and bisection tolerance
 SCAN_STEP, STABILITY_TOL = 1e-3, 1e-6
-RHO_GRID_POINTS, RHO_XTOL = 10_000, 1e-8
 
 # Enum member lookups cost ~0.1 us each; schedule_matrix runs in rho's inner loop.
 _DRIFT, _KICK = FlowKind.DRIFT, FlowKind.KICK
@@ -90,12 +88,12 @@ def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> Tran
     return TransferMatrix(m11, m12, m21, m22)
 
 
-def _is_stable(m11, m12, m21):
+def _is_stable(m12, m21):
     # Scalar or per-mode entries.  A unit-determinant palindromic map has
-    # m12*m21 = m11^2 - 1, so the second test alone excludes the |m11| = 1
-    # boundary; the first admits m11 == 1.0, which is what a tiny step
-    # rounds m11 to.
-    return (abs(m11) <= 1.0) & (m12 * m21 < 0.0)
+    # m12*m21 = m11^2 - 1, so this sign decides |m11| < 1.  Unlike m11 it
+    # stays resolved near a kernel passing through -I, where m12 and m21
+    # are linear in the distance but m11 + 1 is quadratic and rounds to 0.
+    return m12 * m21 < 0.0
 
 
 def spectrum(m: TransferMatrix) -> KernelSpectrum:
@@ -105,7 +103,7 @@ def spectrum(m: TransferMatrix) -> KernelSpectrum:
     m = [[cos theta, chi sin theta], [-sin theta / chi, cos theta]].
     Instability is reported through the ``stable`` flag, not an exception.
     """
-    if not _is_stable(m.m11, m.m12, m.m21):
+    if not _is_stable(m.m12, m.m21):
         return KernelSpectrum(None, None, False)
     chi = math.sqrt(m.m12 / -m.m21)
     theta = math.acos(max(-1.0, min(1.0, m.m11)))
@@ -120,7 +118,7 @@ def _first_instability(kernel: FlowSchedule) -> Optional[tuple[float, float]]:
     for start in range(1, n_total + 1, chunk):
         stop = min(start + chunk, n_total + 1)
         hs = np.arange(start, stop, dtype=float) * SCAN_STEP
-        stable = _is_stable(*schedule_matrix(kernel, hs)[:3])
+        stable = _is_stable(*schedule_matrix(kernel, hs)[1:3])
         if stable.all():
             prev_stable = float(hs[-1])
             continue
@@ -140,7 +138,7 @@ def stability_length(kernel: FlowSchedule) -> float:
     lo, hi = bracket
     while hi - lo > STABILITY_TOL:
         mid = 0.5 * (lo + hi)
-        if _is_stable(*schedule_matrix(kernel, mid)[:3]):
+        if _is_stable(*schedule_matrix(kernel, mid)[1:3]):
             lo = mid
         else:
             hi = mid
@@ -190,8 +188,8 @@ def rho(integ: ProcessedIntegrator, h: float) -> float:
     Returns +inf when the kernel is unstable at h, so the tuner's objective
     stays totally ordered.
     """
-    k11, k12, k21, _ = schedule_matrix(integ.kernel, h)
-    if not _is_stable(k11, k12, k21):
+    _, k12, k21, _ = schedule_matrix(integ.kernel, h)
+    if not _is_stable(k12, k21):
         return math.inf
     chi = math.sqrt(k12 / -k21)
     alpha, beta, gamma, delta = schedule_matrix(integ.pre, h)
@@ -200,70 +198,64 @@ def rho(integ: ProcessedIntegrator, h: float) -> float:
     return 2.0 * cross * cross + 0.5 * spread * spread
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
-    """Golden-section maximization of a smooth scalar function on [a, b]."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    best = max(fc, fd)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
+def _series_matrix(schedule: FlowSchedule) -> np.ndarray:
+    """schedule_matrix with h left symbolic: row i holds the coefficients of
+    entry i of (m11, m12, m21, m22) in ascending powers of h.  Drifts and
+    kicks only; callers run schedule_matrix first, which rejects the rest."""
+    m = np.zeros((4, len(schedule) + 1))
+    m[0, 0] = m[3, 0] = 1.0
+    for f in schedule:
+        if f.kind is _DRIFT:
+            m[0:2, 1:] += f.coefficient * m[2:4, :-1]
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        best = max(best, fc, fd)
-    return best
+            m[2:4, 1:] -= f.coefficient * m[0:2, :-1]
+    return m
 
 
 def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float, float]:
-    """(max over (0, hbar], value at hbar, max over interior local maxima).
+    """(max over (0, hbar], value at hbar, max at the interior critical points).
 
-    Evaluates rho on a uniform grid and refines each grid-local maximum by
-    golden section.  All three values are +inf if any grid point is unstable.
+    With chi^2 = k12 / -k21 cleared, rho = 2 cross^2 + S^2 / (2D) = N / (2D),
+    where S = (delta^2 + gamma^2) k12 + (alpha^2 + beta^2) k21, D = -k12 k21
+    and N = 4 cross^2 D + S^2 are polynomials in h.  Both N and D are even
+    and vanish at h = 0, so n = N / s and d = D / s are polynomials in
+    s = h^2, and rho peaks at hbar or at a root of n'd - nd' in (0, hbar^2).
+    rho() is evaluated at the real part of every such root: extra points
+    cannot raise the maximum past the true one.  All three values are +inf
+    if the kernel loses stability inside (0, hbar].
     """
     if not (hbar > 0.0 and math.isfinite(hbar)):
         raise ValueError("hbar must be positive and finite")
-    n = RHO_GRID_POINTS
-    hs = np.linspace(hbar / n, hbar, n)
+    unstable = (math.inf, math.inf, math.inf)
+    at_hbar = rho(integ, hbar)
+    if at_hbar == math.inf:
+        return unstable
+    s_max = hbar * hbar
+    mul = np.convolve
+    _, k12, k21, _ = _series_matrix(integ.kernel)
+    alpha, beta, gamma, delta = _series_matrix(integ.pre)
+    big_d = -mul(k12, k21)
+    cross = mul(alpha, gamma) + mul(beta, delta)
+    big_s = mul(mul(delta, delta) + mul(gamma, gamma), k12) + mul(mul(alpha, alpha) + mul(beta, beta), k21)
+    # ascending coefficients in s; np.roots takes them highest power first
+    n = (4.0 * mul(mul(cross, cross), big_d) + mul(big_s, big_s))[2::2]
+    d = big_d[2::2]
+    dn, dd = n[1:] * np.arange(1, len(n)), d[1:] * np.arange(1, len(d))
 
-    k11, k12, k21, _ = schedule_matrix(integ.kernel, hs)
-    if not _is_stable(k11, k12, k21).all():
-        return math.inf, math.inf, math.inf
-    chi = np.sqrt(k12 / -k21)
-    alpha, beta, gamma, delta = schedule_matrix(integ.pre, hs)
-    cross = alpha * gamma + beta * delta
-    spread = (delta * delta + gamma * gamma) * chi - (alpha * alpha + beta * beta) / chi
-    vals = 2.0 * cross * cross + 0.5 * spread * spread
+    # Stability changes only where d changes sign, at a real root.  Probe each
+    # stretch between roots a third of the way in: a double root where the
+    # kernel passes through -I splits into a close pair centred on itself.
+    roots = np.roots(d[::-1])
+    roots = np.sort(roots.real[(roots.imag == 0.0) & (roots.real > 0.0) & (roots.real < s_max)])
+    edges = np.concatenate(([0.0], roots, [s_max]))
+    probes = np.sqrt(edges[:-1] + np.diff(edges) / 3.0)
+    if not _is_stable(*schedule_matrix(integ.kernel, probes)[1:3]).all():
+        return unstable
 
-    grid_max = float(vals.max())
-    at_hbar = float(vals[-1])
-
-    is_peak = np.empty(n, dtype=bool)
-    is_peak[0] = vals[0] >= vals[1]
-    is_peak[-1] = vals[-1] >= vals[-2]
-    is_peak[1:-1] = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    # Roundoff jitter on the tiny-h plateau flags spurious maxima; peaks this
-    # far below the grid maximum cannot refine past it, so skip them.
-    threshold = grid_max * 1e-3
-
-    norm = grid_max
-    interior = -math.inf
-
-    def f(x: float) -> float:
-        return rho(integ, x)
-
-    for i in np.nonzero(is_peak & (vals >= threshold))[0]:
-        lo = float(hs[i - 1]) if i > 0 else 0.5 * float(hs[0])
-        hi = float(hs[i + 1]) if i < n - 1 else hbar
-        refined = _golden_max(f, lo, hi, RHO_XTOL)
-        norm = max(norm, refined)
-        if i < n - 1:
-            interior = max(interior, refined)
-    return norm, at_hbar, interior
+    critical = np.roots((mul(dn, d) - mul(n, dd))[::-1]).real
+    critical = critical[(critical > 0.0) & (critical < s_max)]
+    interior = max((rho(integ, math.sqrt(x)) for x in critical), default=-math.inf)
+    return max(at_hbar, interior), at_hbar, interior
 
 
 def rho_norm(integ: ProcessedIntegrator, hbar: float) -> float:

@@ -211,16 +211,19 @@ def _curve_point(job) -> SweepPoint:
 def efficiency_curve(
     target: TargetModel,
     h_list: Sequence[float],
-    cfg: HmcConfig,
+    integrator: ProcessedIntegrator,
+    n_samples: int,
+    seed: int,
+    leg_time: float = HmcConfig.leg_time,
     workers: int = 1,
 ) -> list[SweepPoint]:
-    """One chain of cfg.integrator per step size; chain i is seeded with
-    cfg.seed ^ i.
+    """One chain of the integrator per step size; chain i is seeded with
+    seed ^ i.
 
     The row with the best acceptance-per-gradient is flagged.  Results are
     bit-identical for any worker count because every point owns its stream.
     """
-    jobs = [(target, replace(cfg, h=float(h), seed=cfg.seed ^ i)) for i, h in enumerate(h_list)]
+    jobs = [(target, HmcConfig(float(h), n_samples, seed ^ i, integrator, leg_time)) for i, h in enumerate(h_list)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             points = list(pool.map(_curve_point, jobs))

@@ -1,8 +1,8 @@
 """Derivative-free tuning of the processed family against the rho metric.
 
-The objective is the exact grid-plus-refinement maximum of rho over
-(0, hbar] (no smoothed surrogate), minimized over (b, c, d) with a
-Nelder-Mead simplex seeded at the caller's initial point.  Unstable or
+The objective is the exact maximum of rho over (0, hbar], taken at hbar or
+at a critical point of rho (no grid, no smoothed surrogate), minimized over
+(b, c, d) with a Nelder-Mead simplex seeded at the caller's initial point.  Unstable or
 degenerate parameter sets evaluate to +inf, which keeps the objective
 totally ordered.
 """
@@ -35,7 +35,7 @@ class TuneResult:
 
     @property
     def interior_dominated(self) -> bool:
-        """No interior local maximum of rho exceeds the value at hbar (to
+        """No interior critical point of rho exceeds the value at hbar (to
         1e-12), the shape the continuation procedure maintains."""
         return self.interior_peak <= self.rho_at_hbar + 1e-12
 

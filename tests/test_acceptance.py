@@ -180,8 +180,7 @@ def test_criterion_5_gaussian_benchmark():
     for name in ("leapfrog", "blcasa", "proc-4.5"):
         integ = named_integrator(name)
         grid = default_h_grid(name, dim, 12)
-        cfg = HmcConfig(h=grid[0], n_samples=n_samples, seed=seed, integrator=integ, leg_time=5.0)
-        points = efficiency_curve(target, grid, cfg)
+        points = efficiency_curve(target, grid, integ, n_samples=n_samples, seed=seed, leg_time=5.0)
         best[name] = max(pt.accept_per_grad for pt in points)
 
     assert best["proc-4.5"] >= 4.0 * best["leapfrog"], best

@@ -18,8 +18,9 @@ from symphmc import (
     spectrum,
     stability_length,
 )
-from symphmc.catalog import REFERENCE_ROWS, named_integrator
-from symphmc.harmonic import _sandwich
+from symphmc.catalog import REFERENCE_ROWS, named_integrator, row_by_name
+from symphmc.harmonic import _rho_profile, _sandwich
+from symphmc.splitting import processed_family
 
 VERLET = named_integrator("leapfrog")
 ROW2 = named_integrator("proc-3.0")
@@ -246,6 +247,28 @@ class TestRhoNorm:
 
     def test_beyond_stability_is_inf(self):
         assert rho_norm(VERLET, 2.5) == math.inf
+        for name in ["leapfrog"] + [row.name for row in REFERENCE_ROWS]:
+            integ = named_integrator(name)
+            h_s = stability_length(integ.kernel)
+            assert rho_norm(integ, 1.001 * h_s) == math.inf, name
+            assert math.isfinite(rho_norm(integ, 0.999 * h_s)), name
+        # 6.2 lies in a stable island past blcasa's h_s = 4.66: rho is finite
+        # there, but the kernel is unstable in between
+        blcasa = named_integrator("blcasa")
+        assert math.isfinite(rho(blcasa, 6.2))
+        assert rho_norm(blcasa, 6.2) == math.inf
+        # every two-stage kernel equals -I at h^2 = (6b - 1) / b^2, near 3 for
+        # these b; D touches zero there without changing sign
+        row = row_by_name("proc-3.0")
+        for b in np.linspace(0.335, 0.385, 1001):
+            assert math.isfinite(rho_norm(processed_family(float(b), row.c, row.d), 3.5)), b
+
+    def test_interior_peak_below_budget_end(self):
+        # the interior maximum near h = 1.58 that sets rho_norm(proc-3.0, 3.0)
+        # is still reported at budget 4.5, where rho ends far above it
+        _, at_hbar, interior = _rho_profile(ROW2, 4.5)
+        assert at_hbar > 1e3 * interior
+        assert math.isclose(interior, rho_norm(ROW2, 3.0), rel_tol=1e-12)
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -171,23 +171,20 @@ class TestEfficiencyCurve:
     def test_seeds_and_best_flag(self):
         tgt = gaussian_model(16)
         h_list = [0.02, 0.05, 0.1]
-        cfg = HmcConfig(h=h_list[0], n_samples=150, seed=1000, integrator=ROW2, leg_time=5.0)
-        points = efficiency_curve(tgt, h_list, cfg)
+        points = efficiency_curve(tgt, h_list, ROW2, n_samples=150, seed=1000, leg_time=5.0)
         assert [pt.seed for pt in points] == [1000 ^ 0, 1000 ^ 1, 1000 ^ 2]
         assert sum(pt.best for pt in points) == 1
         best = max(points, key=lambda p: p.accept_per_grad)
         assert best.best
 
     def test_empty_h_list(self):
-        cfg = HmcConfig(h=0.1, n_samples=10, seed=0, integrator=ROW2)
-        assert efficiency_curve(gaussian_model(4), [], cfg) == []
+        assert efficiency_curve(gaussian_model(4), [], ROW2, n_samples=10, seed=0) == []
 
     def test_worker_count_does_not_change_results(self):
         tgt = gaussian_model(16)
         h_list = [0.02, 0.06]
-        cfg = HmcConfig(h=h_list[0], n_samples=100, seed=4, integrator=ROW2, leg_time=5.0)
-        serial = efficiency_curve(tgt, h_list, cfg, workers=1)
-        parallel = efficiency_curve(tgt, h_list, cfg, workers=2)
+        serial = efficiency_curve(tgt, h_list, ROW2, n_samples=100, seed=4, leg_time=5.0, workers=1)
+        parallel = efficiency_curve(tgt, h_list, ROW2, n_samples=100, seed=4, leg_time=5.0, workers=2)
         assert serial == parallel
 
     def test_efficiency_ordering_at_moderate_dimension(self):
@@ -201,8 +198,7 @@ class TestEfficiencyCurve:
         for name in ("leapfrog", "blcasa", "proc-3.0"):
             integ = named_integrator(name)
             grid = default_h_grid(name, dim, 8)
-            cfg = HmcConfig(h=grid[0], n_samples=1000, seed=7, integrator=integ, leg_time=5.0)
-            points = efficiency_curve(target, grid, cfg)
+            points = efficiency_curve(target, grid, integ, n_samples=1000, seed=7, leg_time=5.0)
             best[name] = max(pt.accept_per_grad for pt in points)
         assert best["proc-3.0"] > best["blcasa"] > best["leapfrog"]
 
@@ -212,8 +208,7 @@ class TestEfficiencyCurve:
         h_kernel = stability_length(ROW2.kernel)
         h_list = list(np.geomspace(0.3 * h_kernel / d, 0.95 * h_kernel / d, 6))
         n = 400
-        cfg = HmcConfig(h=h_list[0], n_samples=n, seed=8, integrator=ROW2, leg_time=5.0)
-        points = efficiency_curve(tgt, h_list, cfg)
+        points = efficiency_curve(tgt, h_list, ROW2, n_samples=n, seed=8, leg_time=5.0)
         for lo, hi in zip(points, points[1:]):
             a1, a2 = lo.acceptance_pct / 100, hi.acceptance_pct / 100
             noise = math.sqrt((a1 * (1 - a1) + a2 * (1 - a2)) / n + 1e-12)
