@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from symphmc import DegenerateParameter, NoDescent, continuation_sweep, evaluate, rho_norm, tune
-from symphmc import processed_family
+from symphmc import DegenerateParameter, NoDescent, cli, continuation_sweep, evaluate, rho_norm, tune
+from symphmc import processed_family, tuning
 from symphmc.catalog import REFERENCE_ROWS, row_by_name
 
 ROW2 = row_by_name("proc-3.0")
 ROW2_SEED = (ROW2.b, ROW2.c, ROW2.d)
+ROW5 = row_by_name("proc-4.5")
+ROW5_SEED = (ROW5.b, ROW5.c, ROW5.d)
 
 
 class TestEvaluate:
@@ -50,8 +55,7 @@ class TestTune:
         assert r1.trace == r2.trace
 
     def test_from_row5_seed_at_its_own_budget(self):
-        row5 = row_by_name("proc-4.5")
-        result = tune(4.5, (row5.b, row5.c, row5.d), restarts=0)
+        result = tune(4.5, ROW5_SEED, restarts=0)
         assert result.rho_norm <= 5e-5
 
     def test_no_descent_from_infinite_seed(self):
@@ -77,3 +81,69 @@ class TestContinuation:
         for result, row in zip(results, REFERENCE_ROWS[1:]):
             assert result.hbar == row.hbar
             assert result.rho_norm <= row.rho_bound
+
+
+def scipy_nelder_mead(f, simplex, max_iter, max_eval):
+    """tuning._nelder_mead's contract, run by scipy."""
+    from scipy.optimize import minimize
+
+    res = minimize(
+        f,
+        simplex[0],
+        method="Nelder-Mead",
+        options={
+            "initial_simplex": simplex,
+            "xatol": tuning.XATOL,
+            "fatol": tuning.FATOL,
+            "maxiter": max_iter,
+            "maxfev": max_eval,
+        },
+    )
+    return res.x, float(res.fun)
+
+
+class TestSimplexMatchesScipy:
+    @pytest.mark.parametrize(
+        "hbar, seed, kwargs, evaluations, infinite",
+        [
+            (3.0, ROW2_SEED, {}, 1111, 0),  # three simplices, 11 shrink steps
+            (3.0, ROW2_SEED, {"restarts": 0, "max_iter": 10}, 20, 0),  # stops at the evaluation cap
+            (3.0, ROW2_SEED, {"restarts": 0, "max_iter": 14}, 28, 0),  # the cap cuts an iteration short
+            (5.0, ROW5_SEED, {"restarts": 0, "max_iter": 100}, 164, 1),  # a vertex past the stability length
+        ],
+        ids=["row2", "capped", "capped-mid-iteration", "unstable-vertex"],
+    )
+    def test_same_trace_as_scipy(self, monkeypatch, hbar, seed, kwargs, evaluations, infinite):
+        pytest.importorskip("scipy")
+        ours = tune(hbar, seed, **kwargs)
+        monkeypatch.setattr(tuning, "_nelder_mead", scipy_nelder_mead)
+        theirs = tune(hbar, seed, **kwargs)
+        assert len(ours.trace) == evaluations
+        assert sum(math.isinf(value) for _, _, value in ours.trace) == infinite
+        assert ours == theirs  # every field, the full trace included
+
+
+NO_SCIPY_RUN = f"""
+import sys
+from symphmc import cli, continuation_sweep, tune
+
+tune(3.0, {ROW2_SEED!r}, restarts=0, max_iter=10)
+assert "scipy" not in sys.modules, "import symphmc or tune loaded scipy"
+sys.modules["scipy"] = None  # any later `import scipy...` raises ImportError
+code = cli.main(["tune", "--integrator", "proc-3.0", "--h", "3.0"])
+r = continuation_sweep([3.0], {ROW2_SEED!r})[0]
+print(repr((r.b, r.c, r.d, r.rho_norm, len(r.trace))))
+sys.exit(code)
+"""
+
+
+def test_runs_without_scipy(capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tuning.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    assert cli.main(["tune", "--integrator", "proc-3.0", "--h", "3.0"]) == 0
+    r = continuation_sweep([3.0], ROW2_SEED)[0]
+    print(repr((r.b, r.c, r.d, r.rho_norm, len(r.trace))))
+    assert proc.stdout == capsys.readouterr().out
