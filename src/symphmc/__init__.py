@@ -6,7 +6,6 @@ from .errors import (
     InsufficientSteps,
     NoDescent,
     NonFiniteState,
-    UnstableStep,
 )
 from .splitting import (
     ElementaryFlow,
@@ -25,14 +24,10 @@ from .splitting import (
     processed_family,
 )
 from .harmonic import (
-    KernelSpectrum,
     TransferMatrix,
-    expected_energy_error,
-    leg_matrix,
     rho,
     rho_norm,
     schedule_matrix,
-    spectrum,
     stability_length,
 )
 from .targets import (

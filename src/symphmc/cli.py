@@ -18,7 +18,7 @@ import numpy as np
 
 from . import catalog
 from .errors import NoDescent
-from .fourth_order import POSITIVE_COEFFICIENTS, order_estimate, rowlands_leg
+from .fourth_order import order_estimate, rowlands_leg
 from .harmonic import rho, rho_norm, stability_length
 from .hmc import efficiency_curve
 from .splitting import PhaseState
@@ -207,8 +207,6 @@ def cmd_stability(opts: dict) -> int:
     names = [opts["integrator"]] if "integrator" in opts else ["leapfrog"] + [r.name for r in catalog.REFERENCE_ROWS]
     lines = []
     for name in names:
-        if name == "rowlands":
-            raise CliUsageError("the rowlands scheme has no drift/kick stability scan")
         integ = catalog.named_integrator(name)
         lines.append(f"{name:<9} h_s={stability_length(integ.kernel):.6f}")
     _write_text(opts.get("out"), "\n".join(lines) + "\n")
@@ -219,8 +217,6 @@ def cmd_sweep(opts: dict) -> int:
     name = opts.get("integrator")
     if name is None:
         raise CliUsageError("sweep requires --integrator")
-    if name == "rowlands":
-        raise CliUsageError("rowlands is not an HMC leg integrator; see rowlands-order")
     dim = opts["dim"]
     samples = opts.get("samples", 5000 if dim <= 1024 else 1000)
     h_values = opts.get("h")
@@ -269,8 +265,6 @@ def cmd_rho_scan(opts: dict) -> int:
     name = opts.get("integrator")
     if name is None:
         raise CliUsageError("rho-scan requires --integrator")
-    if name == "rowlands":
-        raise CliUsageError("rowlands is not a drift/kick integrator")
     integ = catalog.named_integrator(name)
     h_max = _single_h(opts["h"]) if "h" in opts else catalog.scan_budget(name)
     points = opts["h_grid"]
@@ -289,7 +283,7 @@ def cmd_rowlands_order(opts: dict) -> int:
     processed = order_estimate(target, "processed", t_final, h0, levels=4)
     bare = order_estimate(target, "kernel", t_final, h0, levels=4)
     verlet = order_estimate(target, "verlet", t_final, h0, levels=4)
-    positive = all(f > 0 for f in POSITIVE_COEFFICIENTS)
+    positive = all(f > 0 for f in catalog.POSITIVE_COEFFICIENTS)
 
     # per-leg cost of the modified-potential kicks: gradients and
     # Hessian-vector products are billed separately

@@ -9,10 +9,6 @@ class NonFiniteState(ArithmeticError):
     """A flow produced NaN or Inf entries in the phase-space state."""
 
 
-class UnstableStep(RuntimeError):
-    """Harmonic-oscillator analysis requested at an unstable step size."""
-
-
 class InsufficientSteps(ValueError):
     """A leg needs one step, or two when a kernel step is folded into its preprocessor."""
 

@@ -1,7 +1,8 @@
 """Fourth-order positive-coefficient integration via modified-potential kicks.
 
-The kernel is a velocity-Verlet-shaped step whose kicks use the modified
-potential b*V - h^2*c*|grad V|^2 at (b, c) = (1/2, 1/48).
+The scheme is the catalog's 'rowlands' integrator.  Its kernel is a
+velocity-Verlet-shaped step whose kicks use the modified potential
+b*V - h^2*c*|grad V|^2 at (b, c) = (1/2, 1/48).
 Folding one kernel step into the processor gives the map kappa, which is
 the preprocessor of a ProcessedIntegrator like any other: a leg of N steps
 runs kappa, N-2 kernel steps, then the adjoint of kappa.  Every substep
@@ -11,46 +12,12 @@ order while the bare kernel is second order.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .catalog import leapfrog_integrator
-from .splitting import FlowSchedule, PhaseState, ProcessedIntegrator, drift, integrate_leg, kick, modified_kick
+from .catalog import leapfrog_integrator, rowlands_integrator
+from .splitting import FlowSchedule, PhaseState, ProcessedIntegrator, integrate_leg
 from .targets import GaussianModel, TargetModel
-
-KERNEL_KICK_B = Fraction(1, 2)
-KERNEL_KICK_C = Fraction(1, 48)
-KAPPA_ALPHA_1 = Fraction(6, 7)
-KAPPA_BETA_1 = Fraction(23, 72)
-KAPPA_GAMMA_1 = Fraction(55, 1728)
-KAPPA_ALPHA_2 = Fraction(1, 7)
-KAPPA_BETA_2 = Fraction(49, 72)
-
-POSITIVE_COEFFICIENTS = (
-    KERNEL_KICK_B,
-    KERNEL_KICK_C,
-    KAPPA_ALPHA_1,
-    KAPPA_BETA_1,
-    KAPPA_GAMMA_1,
-    KAPPA_ALPHA_2,
-    KAPPA_BETA_2,
-)
-
-
-def rowlands_integrator() -> ProcessedIntegrator:
-    """The modified kernel with kappa as its preprocessor (one kernel step folded in)."""
-    mk = modified_kick(1.0, float(KERNEL_KICK_B), float(KERNEL_KICK_C))
-    kappa = FlowSchedule(
-        (
-            modified_kick(1.0, float(KAPPA_BETA_1), float(KAPPA_GAMMA_1)),
-            drift(float(KAPPA_ALPHA_1)),
-            kick(float(KAPPA_BETA_2)),
-            drift(float(KAPPA_ALPHA_2)),
-        )
-    )
-    return ProcessedIntegrator(FlowSchedule((mk, drift(1.0), mk)), kappa)
-
 
 _ROWLANDS = rowlands_integrator()
 

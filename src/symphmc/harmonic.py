@@ -1,22 +1,20 @@
 """Transfer-matrix analysis of schedules on the unit harmonic oscillator.
 
-On the model Hamiltonian p^2/2 + q^2/2 every drift and kick is a 2x2 shear,
-so a schedule becomes a 2x2 map with unit determinant.  A stable palindromic
-kernel factors as rotation-like with eccentricity chi and angle theta per
-step; processors contribute polynomial entries (alpha, beta; gamma, delta).
-From those pieces we get the expected energy error of a leg at stationarity
-and its N-independent upper bound rho_h, whose maximum over a step-size
-budget is the tuning objective.
+On the model Hamiltonian p^2/2 + q^2/2 every flow is a 2x2 shear: a drift
+moves q by c*h*p, a kick moves p by -c*h*q, and a modified kick by
+-c*h*(b_mod - 2*c_mod*h^2)*q.  A schedule becomes a 2x2 map with unit
+determinant.  From a kernel's and a preprocessor's maps we get rho_h, the
+N-independent upper bound on a leg's expected energy error at
+stationarity, whose maximum over a step-size budget is the tuning
+objective.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import UnstableStep
 from .splitting import FlowKind, FlowSchedule, ProcessedIntegrator
 
 # stability scan spacing and bisection tolerance
@@ -59,15 +57,6 @@ class TransferMatrix(NamedTuple):
         return result
 
 
-@dataclass(frozen=True)
-class KernelSpectrum:
-    """(chi, theta) of a stable kernel step; chi/theta are None when unstable."""
-
-    chi: Optional[float]
-    theta: Optional[float]
-    stable: bool
-
-
 def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> TransferMatrix:
     """Ordered product of the flow shears, in the order the flows act; h may
     be a scalar or an array of step sizes."""
@@ -77,14 +66,11 @@ def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> Tran
         if f.kind is _DRIFT:
             m11 = m11 + c * m21
             m12 = m12 + c * m22
-        elif f.kind is _KICK:
-            m21 = m21 - c * m11
-            m22 = m22 - c * m12
-        else:
-            raise ValueError(
-                "modified kicks have no fixed oscillator shear: "
-                "their kick slope depends on h"
-            )
+            continue
+        if f.kind is not _KICK:
+            c = c * (f.b_mod - 2.0 * f.c_mod * h * h)
+        m21 = m21 - c * m11
+        m22 = m22 - c * m12
     return TransferMatrix(m11, m12, m21, m22)
 
 
@@ -94,20 +80,6 @@ def _is_stable(m12, m21):
     # stays resolved near a kernel passing through -I, where m12 and m21
     # are linear in the distance but m11 + 1 is quadratic and rounds to 0.
     return m12 * m21 < 0.0
-
-
-def spectrum(m: TransferMatrix) -> KernelSpectrum:
-    """Stability and (chi, theta) of a palindromic kernel matrix (m11 == m22).
-
-    chi = sqrt(m12 / -m21) > 0 and theta = arccos(m11) in (0, pi), so that
-    m = [[cos theta, chi sin theta], [-sin theta / chi, cos theta]].
-    Instability is reported through the ``stable`` flag, not an exception.
-    """
-    if not _is_stable(m.m12, m.m21):
-        return KernelSpectrum(None, None, False)
-    chi = math.sqrt(m.m12 / -m.m21)
-    theta = math.acos(max(-1.0, min(1.0, m.m11)))
-    return KernelSpectrum(chi, theta, True)
 
 
 def _first_instability(kernel: FlowSchedule) -> Optional[tuple[float, float]]:
@@ -147,41 +119,6 @@ def stability_length(kernel: FlowSchedule) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sandwich(
-    alpha: float, beta: float, gamma: float, delta: float, chi: float, big_c: float, big_s: float
-) -> tuple[float, float, float]:
-    """Closed-form entries (A, B, C) of post . kernel^N . pre on the oscillator."""
-    inv_chi = 1.0 / chi
-    a_ = big_c * (alpha * delta + beta * gamma) + big_s * (gamma * delta * chi - alpha * beta * inv_chi)
-    b_ = big_c * (2.0 * beta * delta) + big_s * (delta * delta * chi - beta * beta * inv_chi)
-    c_ = big_c * (2.0 * alpha * gamma) + big_s * (gamma * gamma * chi - alpha * alpha * inv_chi)
-    return a_, b_, c_
-
-
-def leg_matrix(integ: ProcessedIntegrator, h: float, n_steps: int) -> TransferMatrix:
-    """Oscillator map of a whole processed leg of N steps at step h.
-
-    Uses the signed per-step angle: in the upper stretch of the stability
-    interval the kernel's m12 turns negative (rotation angle past pi), and
-    there sin(theta) carries the sign of m12 while chi stays positive.
-    """
-    kernel = schedule_matrix(integ.kernel, h)
-    sp = spectrum(kernel)
-    if not sp.stable:
-        raise UnstableStep(f"kernel unstable at h = {h}")
-    theta = math.copysign(sp.theta, kernel.m12)
-    angle = integ.kernel_steps(n_steps) * theta
-    big_c, big_s = math.cos(angle), math.sin(angle)
-    a_, b_, c_ = _sandwich(*schedule_matrix(integ.pre, h), sp.chi, big_c, big_s)
-    return TransferMatrix(a_, b_, c_, a_)
-
-
-def expected_energy_error(m: TransferMatrix) -> float:
-    """Expected energy change over a leg at stationarity: (1/2)(B + C)^2."""
-    s = m.m12 + m.m21
-    return 0.5 * s * s
-
-
 def rho(integ: ProcessedIntegrator, h: float) -> float:
     """N-independent upper bound on the expected leg energy error at step h.
 
@@ -200,15 +137,19 @@ def rho(integ: ProcessedIntegrator, h: float) -> float:
 
 def _series_matrix(schedule: FlowSchedule) -> np.ndarray:
     """schedule_matrix with h left symbolic: row i holds the coefficients of
-    entry i of (m11, m12, m21, m22) in ascending powers of h.  Drifts and
-    kicks only; callers run schedule_matrix first, which rejects the rest."""
-    m = np.zeros((4, len(schedule) + 1))
+    entry i of (m11, m12, m21, m22) in ascending powers of h.  A drift or a
+    kick raises the degree by one, a modified kick (slope linear plus cubic
+    in h) by three."""
+    m = np.zeros((4, 1 + sum(3 if f.kind is FlowKind.MODIFIED_KICK else 1 for f in schedule)))
     m[0, 0] = m[3, 0] = 1.0
     for f in schedule:
         if f.kind is _DRIFT:
             m[0:2, 1:] += f.coefficient * m[2:4, :-1]
-        else:
+        elif f.kind is _KICK:
             m[2:4, 1:] -= f.coefficient * m[0:2, :-1]
+        else:
+            m[2:4, 1:] -= (f.coefficient * f.b_mod) * m[0:2, :-1]
+            m[2:4, 3:] += (2.0 * f.coefficient * f.c_mod) * m[0:2, :-3]
     return m
 
 

@@ -9,10 +9,11 @@ sweep) use independent streams derived from the base seed.
 For the diagonal Gaussian benchmark the leg map factors into independent
 2x2 mode maps, which lets a chain run in O(d) per leg after an O(d log N)
 set-up per chain, instead of O(N d) per leg; this fast path is used
-automatically for plain drift/kick integrators on Gaussian targets and is
-cross-checked against the generic flow-by-flow execution in the test suite.
-The two paths differ only in their set-up and their proposal; both run the
-same Metropolis loop.
+automatically for every integrator on Gaussian targets (a modified kick is
+an exact shear there too) and is cross-checked against the generic
+flow-by-flow execution in the test suite.  The two paths differ only in
+their set-up and their proposal; both run the same Metropolis loop.  Cost
+is counted in gradients, each Hessian-vector product billed as one.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import NonFiniteState
 from .harmonic import schedule_matrix
-from .splitting import FlowKind, PhaseState, ProcessedIntegrator, integrate_leg, leg_gradient_count
+from .splitting import PhaseState, ProcessedIntegrator, integrate_leg, leg_gradient_count
 from .targets import GaussianModel, TargetModel
 
 
@@ -80,15 +81,6 @@ def energy(target: TargetModel, state: PhaseState) -> float:
     return kinetic + target.potential(state.q)
 
 
-def fast_path_available(target: TargetModel, integrator: ProcessedIntegrator) -> bool:
-    """True when legs can run as per-mode 2x2 maps (diagonal Gaussian target,
-    plain drift/kick flows)."""
-    if not isinstance(target, GaussianModel):
-        return False
-    flows = (*integrator.pre.flows, *integrator.kernel.flows, *integrator.post.flows)
-    return all(f.kind in (FlowKind.DRIFT, FlowKind.KICK) for f in flows)
-
-
 def hmc_run(
     target: TargetModel,
     cfg: HmcConfig,
@@ -103,9 +95,10 @@ def hmc_run(
     given (target, cfg).
     """
     tgt = target.fresh()
-    fast = fast_path_available(tgt, cfg.integrator) if use_fast_path is None else bool(use_fast_path)
-    if fast and not fast_path_available(tgt, cfg.integrator):
-        raise ValueError("fast path requires a Gaussian target and drift/kick flows")
+    gaussian = isinstance(tgt, GaussianModel)
+    fast = gaussian if use_fast_path is None else bool(use_fast_path)
+    if fast and not gaussian:
+        raise ValueError("fast path requires a Gaussian target")
 
     rng = np.random.default_rng(cfg.seed)
     q0 = tgt.exact_sample(rng) if tgt.has_exact_sampler else np.zeros(tgt.dim)
@@ -154,7 +147,7 @@ def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0:
         return energy(tgt, proposal) - h_current, proposal.q
 
     samples, dh, accepted = _metropolis(propose, q0, cfg.n_samples, rng)
-    return samples, _make_stats(accepted, cfg.n_samples, tgt.grad_evals, dh, cfg.seed)
+    return samples, _make_stats(accepted, cfg.n_samples, tgt.grad_evals + tgt.hess_evals, dh, cfg.seed)
 
 
 def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray):

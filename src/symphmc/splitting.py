@@ -274,49 +274,53 @@ def integrate_leg(
 ) -> tuple[PhaseState, int]:
     """Run one leg of N steps spanning N*h: pre, N - 2*folded kernel steps, post.
 
-    Returns the final state and the number of gradient evaluations consumed,
-    which is 3N+5 for the processed family, 3N+1 with empty processors and
-    N+1 for leapfrog.
+    Returns the final state and the evaluations consumed, each
+    Hessian-vector product billed as one gradient: 3N+5 for the processed
+    family, 3N+1 with empty processors, N+1 for leapfrog and 2N+4 (N+3
+    gradients, N+1 products) for the fourth-order scheme at N >= 3.
     """
     kernel_steps = integ.kernel_steps(n_steps)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive and finite")
     if state.dim != target.dim:
         raise ValueError(f"state dimension {state.dim} != target dimension {target.dim}")
-    before = target.grad_evals
+    before = target.grad_evals + target.hess_evals
     kernel = chain.from_iterable(repeat(integ.kernel.flows, kernel_steps))
     flows = chain(integ.pre.flows, kernel, integ.post.flows)
     q, p = _run_flows(state.q, state.p, flows, h, target)
-    return PhaseState(q, p), target.grad_evals - before
+    return PhaseState(q, p), target.grad_evals + target.hess_evals - before
 
 
-def _fused_count(flows: Iterable[ElementaryFlow], cached: bool) -> tuple[int, bool]:
-    """Gradient evaluations fused flows consume from the given cache state,
+def _fused_count(flows: Iterable[ElementaryFlow], grad_held: bool, hvp_held: bool) -> tuple[int, bool, bool]:
+    """Evaluations fused flows consume from the given cache state (gradient
+    held, Hessian-vector product held), a product billed as one gradient,
     and the cache state they leave."""
     count = 0
     for f in flows:
         if f.coefficient == 0.0:
             continue
         if f.kind is FlowKind.DRIFT:
-            cached = False
-        elif not cached:
-            count += 1
-            cached = True
-    return count, cached
+            grad_held = hvp_held = False
+            continue
+        if not grad_held:
+            count, grad_held = count + 1, True
+        if f.kind is FlowKind.MODIFIED_KICK and f.c_mod != 0.0 and not hvp_held:
+            count, hvp_held = count + 1, True
+    return count, grad_held, hvp_held
 
 
 def leg_gradient_count(integ: ProcessedIntegrator, n_steps: int) -> int:
-    """Gradient evaluations a leg of N steps will consume, from the schedule
-    alone.
+    """Evaluations a leg of N steps will consume, each Hessian-vector
+    product billed as one gradient, from the schedule alone.
 
     A kernel's drifts sum to 1, so every kernel step contains a drift and
     leaves the same cache state whatever state it starts from: kernel steps
     2..N - 2*folded all cost the same, and the count takes O(1) work in N.
     """
     kernel_steps = integ.kernel_steps(n_steps)
-    count, cached = _fused_count(integ.pre, False)
+    count, *held = _fused_count(integ.pre, False, False)
     if kernel_steps > 0:
-        first, cached = _fused_count(integ.kernel, cached)
-        steady, _ = _fused_count(integ.kernel, cached)
+        first, *held = _fused_count(integ.kernel, *held)
+        steady, *_ = _fused_count(integ.kernel, *held)
         count += first + (kernel_steps - 1) * steady
-    return count + _fused_count(integ.post, cached)[0]
+    return count + _fused_count(integ.post, *held)[0]

@@ -14,11 +14,9 @@ from symphmc import (
     PhaseState,
     anharmonic_model,
     efficiency_curve,
-    expected_energy_error,
     gaussian_model,
     hmc_run,
     integrate_leg,
-    leg_matrix,
     momentum_flip,
     order_estimate,
     oscillator_1d,
@@ -26,13 +24,13 @@ from symphmc import (
     rho,
     rho_norm,
     schedule_matrix,
-    spectrum,
     stability_length,
     tune,
 )
-from symphmc.catalog import REFERENCE_ROWS, named_integrator, row_by_name
+from symphmc.catalog import POSITIVE_COEFFICIENTS, REFERENCE_ROWS, named_integrator, row_by_name
 from symphmc.cli import default_h_grid
-from symphmc.fourth_order import POSITIVE_COEFFICIENTS
+
+from oscillator_oracle import expected_energy_error, leg_matrix, spectrum
 
 ROW2 = row_by_name("proc-3.0")
 

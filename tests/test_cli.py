@@ -1,9 +1,11 @@
 import json
+import math
 import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from symphmc import HmcConfig, gaussian_model, hmc_run
 from symphmc.cli import SWEEP_CSV_HEADER, main
 from symphmc.harmonic import rho
 from symphmc.catalog import named_integrator
@@ -47,16 +49,29 @@ class TestStability:
         out = capsys.readouterr().out
         assert out.startswith("proc-4.0")
 
-    def test_rowlands_has_no_scan(self):
-        assert run_cli(["stability", "--integrator", "rowlands"]) == 2
+    def test_rowlands_stability_length(self, capsys):
+        assert run_cli(["stability", "--integrator", "rowlands"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"rowlands  h_s={2.0 * math.sqrt(3.0):.6f}\n"
 
 
 class TestSweep:
     def test_requires_integrator(self, capsys):
         assert run_cli(["sweep"]) == 2
 
-    def test_rowlands_is_not_sweepable(self, capsys):
-        assert run_cli(["sweep", "--integrator", "rowlands", "--h", "0.1"]) == 2
+    def test_rowlands_sweep_bills_hessian_vector_products(self, tmp_path):
+        # the fast path's closed-form count equals what the generic path's
+        # target counts, N + 3 gradients plus N + 1 Hessian-vector products
+        out = tmp_path / "rowlands.csv"
+        args = ["sweep", "--integrator", "rowlands", "--dim", "16", "--samples", "40", "--h", "0.05,0.1"]
+        assert run_cli(args + ["--seed", "3", "--out", str(out)]) == 0
+        for line in out.read_text().splitlines()[1:]:
+            fields = line.split(",")
+            h, n, grad_per_leg = float(fields[2]), int(fields[3]), float(fields[4])
+            assert grad_per_leg == 2 * n + 4
+            cfg = HmcConfig(h, 5, 0, named_integrator("rowlands"))
+            _, stats = hmc_run(gaussian_model(16), cfg, use_fast_path=False)
+            assert stats.grad_per_leg == grad_per_leg
 
     def test_unknown_integrator_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -172,8 +187,13 @@ class TestRhoScan:
     def test_requires_integrator(self):
         assert run_cli(["rho-scan"]) == 2
 
-    def test_rowlands_rejected(self):
-        assert run_cli(["rho-scan", "--integrator", "rowlands"]) == 2
+    def test_rowlands_default_budget(self, tmp_path):
+        out = tmp_path / "rowlands.csv"
+        assert run_cli(["rho-scan", "--integrator", "rowlands", "--h-grid", "10", "--out", str(out)]) == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.read_text().splitlines()[1:]]
+        assert rows[-1][0] == 0.98 * 2.0 * math.sqrt(3.0)
+        integ = named_integrator("rowlands")
+        assert all(value == rho(integ, h) and math.isfinite(value) for h, value in rows)
 
     def test_explicit_budget(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -16,7 +16,7 @@ from symphmc import (
     rowlands_integrator,
     rowlands_leg,
 )
-from symphmc.fourth_order import (
+from symphmc.catalog import (
     KAPPA_ALPHA_1,
     KAPPA_ALPHA_2,
     KAPPA_BETA_1,

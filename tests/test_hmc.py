@@ -17,8 +17,8 @@ from symphmc import (
     rho,
     stability_length,
 )
-from symphmc.catalog import named_integrator
-from symphmc.hmc import _metropolis, fast_path_available
+from symphmc.catalog import INTEGRATOR_NAMES, named_integrator
+from symphmc.hmc import _metropolis
 
 ROW2 = named_integrator("proc-3.0")
 
@@ -78,15 +78,19 @@ class TestHmcRun:
         assert np.array_equal(st1.energy_errors, st2.energy_errors)
 
     def test_fast_path_matches_generic_execution(self):
+        # every named integrator, modified kicks included; each at the same
+        # fraction of its own stability length as proc-3.0 at h = 0.35
         tgt = gaussian_model(6)
-        cfg = HmcConfig(h=0.35, n_samples=300, seed=42, integrator=ROW2, leg_time=5.0)
-        assert fast_path_available(tgt, ROW2)
-        s_fast, st_fast = hmc_run(tgt, cfg, use_fast_path=True)
-        s_gen, st_gen = hmc_run(tgt, cfg, use_fast_path=False)
-        assert st_fast.accepted == st_gen.accepted
-        assert st_fast.grad_evals == st_gen.grad_evals
-        assert np.max(np.abs(s_fast - s_gen)) <= 1e-10
-        assert np.max(np.abs(st_fast.energy_errors - st_gen.energy_errors)) <= 1e-10
+        for name in INTEGRATOR_NAMES:
+            integ = named_integrator(name)
+            h = 0.35 * stability_length(integ.kernel) / stability_length(ROW2.kernel)
+            cfg = HmcConfig(h=h, n_samples=300, seed=42, integrator=integ, leg_time=5.0)
+            s_fast, st_fast = hmc_run(tgt, cfg, use_fast_path=True)
+            s_gen, st_gen = hmc_run(tgt, cfg, use_fast_path=False)
+            assert st_fast.accepted == st_gen.accepted, name
+            assert st_fast.grad_evals == st_gen.grad_evals, name
+            assert np.max(np.abs(s_fast - s_gen)) <= 1e-10, name
+            assert np.max(np.abs(st_fast.energy_errors - st_gen.energy_errors)) <= 1e-10, name
 
     def test_fast_path_honours_a_folded_kernel_step(self):
         # leapfrog with one kernel step folded into its preprocessor is
@@ -105,7 +109,6 @@ class TestHmcRun:
 
     def test_fast_path_rejected_for_nonlinear_target(self):
         tgt = anharmonic_model(2)
-        assert not fast_path_available(tgt, ROW2)
         cfg = HmcConfig(h=0.2, n_samples=3, seed=0, integrator=ROW2)
         with pytest.raises(ValueError):
             hmc_run(tgt, cfg, use_fast_path=True)

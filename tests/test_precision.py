@@ -1,5 +1,7 @@
 """50-digit cross-checks of the two numbers the paper's table rests on: the
 maximum of rho over a step-size budget and the kernel stability length."""
+import math
+
 import pytest
 from mpmath import mp, mpf
 
@@ -10,14 +12,17 @@ DIGITS = 50
 
 
 def mp_matrix(schedule, h):
-    """schedule_matrix in mpmath: the ordered product of the flow shears."""
+    """schedule_matrix in mpmath: the ordered product of the flow shears.
+    A modified kick's force on the oscillator is (b_mod - 2 h^2 c_mod) q."""
     m11, m12, m21, m22 = mpf(1), mpf(0), mpf(0), mpf(1)
     for f in schedule:
         c = mpf(f.coefficient) * h
         if f.kind is FlowKind.DRIFT:
             m11, m12 = m11 + c * m21, m12 + c * m22
-        else:
-            m21, m22 = m21 - c * m11, m22 - c * m12
+            continue
+        if f.kind is FlowKind.MODIFIED_KICK:
+            c *= mpf(f.b_mod) - 2 * mpf(f.c_mod) * h * h
+        m21, m22 = m21 - c * m11, m22 - c * m12
     return m11, m12, m21, m22
 
 
@@ -86,8 +91,17 @@ def test_rho_norm_matches_50_digit_maximum(row):
         assert abs(rho_norm(integ, row.hbar) - exact) <= 5e-12 * exact
 
 
-@pytest.mark.parametrize("name", ["leapfrog"] + [row.name for row in REFERENCE_ROWS])
+@pytest.mark.parametrize("name", ["leapfrog"] + [row.name for row in REFERENCE_ROWS] + ["rowlands"])
 def test_stability_length_matches_50_digit_instability(name):
     kernel = named_integrator(name).kernel
     with mp.workdps(DIGITS):
         assert abs(stability_length(kernel) - mp_first_instability(kernel)) <= 1e-6
+
+
+def test_rowlands_stability_length_is_two_root_three():
+    # the kernel's modified kick has slope h(1/2 - h^2/24), positive iff
+    # h < 2*sqrt(3); 1/48 rounded to a double moves the root by ~1e-16
+    kernel = named_integrator("rowlands").kernel
+    with mp.workdps(DIGITS):
+        assert abs(mp_first_instability(kernel) - 2 * mp.sqrt(3)) <= mpf(10) ** -15
+    assert abs(stability_length(kernel) - 2.0 * math.sqrt(3.0)) <= 1e-6

@@ -22,7 +22,6 @@ from symphmc import (
     processed_family,
 )
 from symphmc.catalog import INTEGRATOR_NAMES, named_integrator
-from symphmc.fourth_order import rowlands_integrator
 from symphmc.splitting import _run_flows
 
 from conftest import assert_states_close
@@ -149,7 +148,7 @@ class TestAdjoint:
         assert s.adjoint().adjoint() == s
 
     def test_rowlands_kappa_reversal(self):
-        integ = rowlands_integrator()
+        integ = named_integrator("rowlands")
         assert integ.post.flows == tuple(reversed(integ.pre.flows))
 
 
@@ -217,20 +216,25 @@ class TestApplyFlow:
 
 
 def walked_gradient_count(integ, n_steps):
-    """Reference count: walk every flow of the fused leg, O(N).  A
-    preprocessor whose drifts sum to 1 holds one folded kernel step."""
+    """Reference count: walk every flow of the fused leg, O(N), billing each
+    Hessian-vector product as one gradient.  A preprocessor whose drifts
+    sum to 1 holds one folded kernel step."""
     folded = round(integ.pre.drift_sum())
     flows = (*integ.pre, *(integ.kernel.flows * (n_steps - 2 * folded)), *integ.post)
     count = 0
-    cached = False
+    grad_cached = hvp_cached = False
     for f in flows:
         if f.coefficient == 0.0:
             continue
         if f.kind is FlowKind.DRIFT:
-            cached = False
-        elif not cached:
+            grad_cached = hvp_cached = False
+            continue
+        if not grad_cached:
             count += 1
-            cached = True
+            grad_cached = True
+        if f.kind is FlowKind.MODIFIED_KICK and f.c_mod != 0.0 and not hvp_cached:
+            count += 1
+            hvp_cached = True
     return count
 
 
@@ -255,6 +259,9 @@ class TestGradientCounts:
             ("proc-3.0", 10**9, 3 * 10**9 + 5),
             ("blcasa", 10**9, 3 * 10**9 + 1),
             ("leapfrog", 10**9, 10**9 + 1),
+            ("rowlands", 2, 6),
+            ("rowlands", 10, 24),  # 2N + 4: N + 3 gradients, N + 1 Hessian-vector products
+            ("rowlands", 10**9, 2 * 10**9 + 4),
         ],
     )
     def test_leg_counts(self, name, n_steps, expected):
@@ -272,8 +279,13 @@ class TestGradientCounts:
         [(n, name) for name in INTEGRATOR_NAMES for n in (1, 2, 3, 10, 1001) if (name, n) != ("rowlands", 1)],
     )
     def test_closed_form_matches_walk(self, n_steps, name):
-        integ = rowlands_integrator() if name == "rowlands" else named_integrator(name)
-        assert leg_gradient_count(integ, n_steps) == walked_gradient_count(integ, n_steps)
+        integ = named_integrator(name)
+        walked = walked_gradient_count(integ, n_steps)
+        assert leg_gradient_count(integ, n_steps) == walked
+        tgt = anharmonic_model(3)
+        s0 = PhaseState(np.array([0.1, 0.2, 0.3]), np.array([-0.2, 0.4, 0.0]))
+        integrate_leg(s0, 0.01, n_steps, integ, tgt)
+        assert tgt.grad_evals + tgt.hess_evals == walked
 
     @given(
         st.floats(min_value=0.2, max_value=0.49),
@@ -287,7 +299,7 @@ class TestGradientCounts:
 
     @pytest.mark.parametrize("name", ["proc-3.0", "rowlands"])
     def test_fused_leg_matches_unfused_reference(self, name):
-        integ = rowlands_integrator() if name == "rowlands" else named_integrator(name)
+        integ = named_integrator(name)
         s0 = PhaseState(np.array([0.4, -0.1, 0.2]), np.array([0.3, 0.2, -0.5]))
         fused_tgt, plain_tgt = anharmonic_model(3), anharmonic_model(3)
         fused, _ = integrate_leg(s0, 0.2, 6, integ, fused_tgt)
