@@ -41,7 +41,6 @@ from .targets import (
 from .hmc import (
     ChainStats,
     HmcConfig,
-    SweepPoint,
     efficiency_curve,
     energy,
     hmc_run,

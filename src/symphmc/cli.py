@@ -226,13 +226,13 @@ def cmd_sweep(opts: dict) -> int:
     points = efficiency_curve(gaussian_model(dim), h_values, catalog.named_integrator(name), samples,
                               opts["seed"], opts["leg_time"], workers=_workers(len(h_values)))
     lines = [SWEEP_CSV_HEADER]
-    for pt in points:
-        fields = (name, str(dim), _fmt(pt.h), str(pt.n_steps), _fmt(pt.grad_per_leg), str(pt.accepted),
-                  str(pt.proposed), _fmt(pt.acceptance_pct), _fmt(pt.accept_per_grad), str(pt.seed))
+    for st in points:
+        fields = (name, str(dim), _fmt(st.cfg.h), str(st.cfg.n_steps), _fmt(st.grad_per_leg), str(st.accepted),
+                  str(st.proposed), _fmt(100.0 * st.acceptance_rate), _fmt(st.accept_per_grad), str(st.seed))
         lines.append(",".join(fields))
-    best = next(pt for pt in points if pt.best)
-    print(f"best accept-per-gradient: h={_fmt(best.h)} N={best.n_steps} acceptance={best.acceptance_pct:.2f}% "
-          f"accept_per_grad={_fmt(best.accept_per_grad)}", file=sys.stderr)
+    best = max(points, key=lambda st: st.accept_per_grad)  # the first maximum
+    print(f"best accept-per-gradient: h={_fmt(best.cfg.h)} N={best.cfg.n_steps} acceptance="
+          f"{100.0 * best.acceptance_rate:.2f}% accept_per_grad={_fmt(best.accept_per_grad)}", file=sys.stderr)
     _write_text(opts.get("out"), "\n".join(lines) + "\n")
     return 0
 

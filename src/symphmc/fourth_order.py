@@ -24,7 +24,7 @@ _ROWLANDS = rowlands_integrator()
 
 def rowlands_leg(state: PhaseState, h: float, n_steps: int, target: TargetModel) -> PhaseState:
     """Processed leg kappa* . kernel^(N-2) . kappa spanning time N*h."""
-    return integrate_leg(state, h, n_steps, _ROWLANDS, target)[0]
+    return integrate_leg(state, h, n_steps, _ROWLANDS, target)
 
 
 def order_estimate(
@@ -59,7 +59,7 @@ def order_estimate(
 
     errors = []
     for k in range(levels):
-        out, _ = integrate_leg(initial_state, h0 / 2**k, n0 * 2**k, legs[scheme], target)
+        out = integrate_leg(initial_state, h0 / 2**k, n0 * 2**k, legs[scheme], target)
         err = max(
             float(np.max(np.abs(out.q - reference.q))),
             float(np.max(np.abs(out.p - reference.p))),

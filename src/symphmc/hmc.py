@@ -12,19 +12,21 @@ set-up per chain, instead of O(N d) per leg; this fast path is used
 automatically for every integrator on Gaussian targets (a modified kick is
 an exact shear there too) and is cross-checked against the generic
 flow-by-flow execution in the test suite.  The two paths differ only in
-their set-up and their proposal; both run the same Metropolis loop.  Cost
-is counted in gradients, each Hessian-vector product billed as one.
+their set-up and their proposal; both run the same Metropolis loop.  A
+chain's one record, also a sweep's row, is its ChainStats: the config, the
+accepted count, the energy errors and the evaluations used, each
+Hessian-vector product billed as one gradient; its rates derive from these.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFiniteState
+from .errors import InsufficientSteps, NonFiniteState
 from .harmonic import schedule_matrix
 from .splitting import PhaseState, ProcessedIntegrator, integrate_leg, leg_gradient_count
 from .targets import GaussianModel, TargetModel
@@ -45,6 +47,10 @@ class HmcConfig:
             raise ValueError("leg_time must be positive and finite")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        try:
+            self.integrator.kernel_steps(self.n_steps)
+        except InsufficientSteps as exc:
+            raise InsufficientSteps(f"h={self.h!r} gives N={self.n_steps} steps per leg; {exc}") from None
 
     @property
     def n_steps(self) -> int:
@@ -54,25 +60,33 @@ class HmcConfig:
 
 @dataclass(frozen=True, eq=False)
 class ChainStats:
+    """What one chain observed; its rates are derived from these counts."""
+
+    cfg: HmcConfig
     accepted: int
-    proposed: int
     grad_evals: int
     energy_errors: np.ndarray
-    acceptance_rate: float
-    accept_per_grad: float
-    seed: int
+
+    @property
+    def proposed(self) -> int:
+        return self.cfg.n_samples
+
+    @property
+    def seed(self) -> int:
+        return self.cfg.seed
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted / self.proposed
 
     @property
     def grad_per_leg(self) -> float:
         return self.grad_evals / self.proposed
 
-
-def _make_stats(accepted: int, proposed: int, grad_evals: int, dh: np.ndarray, seed: int) -> ChainStats:
-    rate = accepted / proposed
-    gpl = grad_evals / proposed
-    # acceptance enters as a percentage, matching the efficiency metric
-    apg = (100.0 * rate) / gpl
-    return ChainStats(accepted, proposed, grad_evals, dh, rate, apg, seed)
+    @property
+    def accept_per_grad(self) -> float:
+        # acceptance enters as a percentage, matching the efficiency metric
+        return (100.0 * self.acceptance_rate) / self.grad_per_leg
 
 
 def energy(target: TargetModel, state: PhaseState) -> float:
@@ -101,7 +115,7 @@ def hmc_run(
         raise ValueError("fast path requires a Gaussian target")
 
     rng = np.random.default_rng(cfg.seed)
-    q0 = tgt.exact_sample(rng) if tgt.has_exact_sampler else np.zeros(tgt.dim)
+    q0 = tgt.exact_sample(rng) if gaussian else np.zeros(tgt.dim)
     if fast:
         return _run_fast(tgt, cfg, rng, q0)
     return _run_generic(tgt, cfg, rng, q0)
@@ -141,13 +155,13 @@ def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0:
         state = PhaseState(q, p)
         h_current = energy(tgt, state)
         try:
-            proposal = integrate_leg(state, cfg.h, n_steps, integ, tgt)[0]
+            proposal = integrate_leg(state, cfg.h, n_steps, integ, tgt)
         except NonFiniteState:
             return math.inf, q
         return energy(tgt, proposal) - h_current, proposal.q
 
     samples, dh, accepted = _metropolis(propose, q0, cfg.n_samples, rng)
-    return samples, _make_stats(accepted, cfg.n_samples, tgt.grad_evals + tgt.hess_evals, dh, cfg.seed)
+    return samples, ChainStats(cfg, accepted, tgt.grad_evals + tgt.hess_evals, dh)
 
 
 def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray):
@@ -170,35 +184,11 @@ def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: 
     # scaled coordinates: each mode is a unit oscillator
     samples, dh, accepted = _metropolis(propose, tgt.frequencies * q0, cfg.n_samples, rng)
     samples /= tgt.frequencies
-    return samples, _make_stats(accepted, cfg.n_samples, grad_per_leg * cfg.n_samples, dh, cfg.seed)
+    return samples, ChainStats(cfg, accepted, grad_per_leg * cfg.n_samples, dh)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    h: float
-    n_steps: int
-    grad_per_leg: float
-    accepted: int
-    proposed: int
-    acceptance_pct: float
-    accept_per_grad: float
-    seed: int
-    best: bool = False
-
-
-def _curve_point(job) -> SweepPoint:
-    target, cfg = job
-    _, stats = hmc_run(target, cfg)
-    return SweepPoint(
-        h=cfg.h,
-        n_steps=cfg.n_steps,
-        grad_per_leg=stats.grad_per_leg,
-        accepted=stats.accepted,
-        proposed=stats.proposed,
-        acceptance_pct=100.0 * stats.acceptance_rate,
-        accept_per_grad=stats.accept_per_grad,
-        seed=cfg.seed,
-    )
+def _chain_stats(job) -> ChainStats:
+    return hmc_run(*job)[1]
 
 
 def efficiency_curve(
@@ -209,20 +199,13 @@ def efficiency_curve(
     seed: int,
     leg_time: float = HmcConfig.leg_time,
     workers: int = 1,
-) -> list[SweepPoint]:
-    """One chain of the integrator per step size; chain i is seeded with
-    seed ^ i.
-
-    The row with the best acceptance-per-gradient is flagged.  Results are
-    bit-identical for any worker count because every point owns its stream.
+) -> list[ChainStats]:
+    """Each chain's ChainStats, one chain per step size, chain i seeded with
+    seed ^ i; every config is built before any chain runs.  Results are
+    bit-identical for any worker count because every chain owns its stream.
     """
     jobs = [(target, HmcConfig(float(h), n_samples, seed ^ i, integrator, leg_time)) for i, h in enumerate(h_list)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            points = list(pool.map(_curve_point, jobs))
-    else:
-        points = [_curve_point(job) for job in jobs]
-    if points:
-        best = max(range(len(points)), key=lambda i: points[i].accept_per_grad)
-        points[best] = replace(points[best], best=True)
-    return points
+            return list(pool.map(_chain_stats, jobs))
+    return [_chain_stats(job) for job in jobs]

@@ -179,7 +179,7 @@ class ProcessedIntegrator:
     def kernel_steps(self, n_steps: int) -> int:
         """Kernel steps in a leg of N steps: N - 2*folded."""
         if n_steps < 1 + self.folded:
-            raise InsufficientSteps(f"a leg of this integrator needs n_steps >= {1 + self.folded}")
+            raise InsufficientSteps(f"a leg of this integrator needs N >= {1 + self.folded} steps")
         return n_steps - 2 * self.folded
 
 
@@ -271,24 +271,21 @@ def integrate_leg(
     n_steps: int,
     integ: ProcessedIntegrator,
     target: "TargetModel",
-) -> tuple[PhaseState, int]:
+) -> PhaseState:
     """Run one leg of N steps spanning N*h: pre, N - 2*folded kernel steps, post.
 
-    Returns the final state and the evaluations consumed, each
-    Hessian-vector product billed as one gradient: 3N+5 for the processed
-    family, 3N+1 with empty processors, N+1 for leapfrog and 2N+4 (N+3
-    gradients, N+1 products) for the fourth-order scheme at N >= 3.
+    Returns the final state.  The target's grad_evals and hess_evals
+    counters record what the leg consumed; leg_gradient_count gives the
+    same total in closed form.
     """
     kernel_steps = integ.kernel_steps(n_steps)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive and finite")
     if state.dim != target.dim:
         raise ValueError(f"state dimension {state.dim} != target dimension {target.dim}")
-    before = target.grad_evals + target.hess_evals
     kernel = chain.from_iterable(repeat(integ.kernel.flows, kernel_steps))
     flows = chain(integ.pre.flows, kernel, integ.post.flows)
-    q, p = _run_flows(state.q, state.p, flows, h, target)
-    return PhaseState(q, p), target.grad_evals + target.hess_evals - before
+    return PhaseState(*_run_flows(state.q, state.p, flows, h, target))
 
 
 def _fused_count(flows: Iterable[ElementaryFlow], grad_held: bool, hvp_held: bool) -> tuple[int, bool, bool]:
@@ -311,7 +308,9 @@ def _fused_count(flows: Iterable[ElementaryFlow], grad_held: bool, hvp_held: boo
 
 def leg_gradient_count(integ: ProcessedIntegrator, n_steps: int) -> int:
     """Evaluations a leg of N steps will consume, each Hessian-vector
-    product billed as one gradient, from the schedule alone.
+    product billed as one gradient, from the schedule alone: 3N+5 for the
+    processed family, 3N+1 with empty processors, N+1 for leapfrog and
+    2N+4 (N+3 gradients, N+1 products) for the fourth-order scheme at N >= 3.
 
     A kernel's drifts sum to 1, so every kernel step contains a drift and
     leaves the same cache state whatever state it starts from: kernel steps

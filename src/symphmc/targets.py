@@ -22,7 +22,7 @@ class TargetModel:
 
     Subclasses implement ``_potential`` and ``_gradient`` and may override
     ``_hessian_vec`` (the default is a central finite difference of the
-    gradient) and ``exact_sample``.
+    gradient).
     """
 
     def __init__(self, dim: int):
@@ -44,13 +44,6 @@ class TargetModel:
     def hessian_vec(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         self.hess_evals += 1
         return self._hessian_vec(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
-
-    def exact_sample(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no exact sampler")
-
-    @property
-    def has_exact_sampler(self) -> bool:
-        return type(self).exact_sample is not TargetModel.exact_sample
 
     def fresh(self) -> "TargetModel":
         """Copy with zeroed counters; each chain owns its own instance."""

@@ -129,8 +129,8 @@ def test_criterion_4_structural_invariants():
     # reversibility with momentum flip
     tgt = anharmonic_model(2)
     s0 = PhaseState(np.array([0.3, -0.7]), np.array([0.9, 0.4]))
-    fwd, _ = integrate_leg(s0, 0.3, 7, integ, tgt)
-    back, _ = integrate_leg(momentum_flip(fwd), 0.3, 7, integ, tgt)
+    fwd = integrate_leg(s0, 0.3, 7, integ, tgt)
+    back = integrate_leg(momentum_flip(fwd), 0.3, 7, integ, tgt)
     recovered = momentum_flip(back)
     scale = 1.0 + max(np.max(np.abs(s0.q)), np.max(np.abs(s0.p)))
     rev_err = max(np.max(np.abs(recovered.q - s0.q)), np.max(np.abs(recovered.p - s0.p)))
@@ -143,7 +143,7 @@ def test_criterion_4_structural_invariants():
         eps = 1e-6
 
         def leg(x):
-            out, _ = integrate_leg(PhaseState(x[:dim], x[dim:]), 0.2, 5, integ, tgt_d)
+            out = integrate_leg(PhaseState(x[:dim], x[dim:]), 0.2, 5, integ, tgt_d)
             return np.concatenate([out.q, out.p])
 
         jac = np.empty((2 * dim, 2 * dim))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symphmc import HmcConfig, gaussian_model, hmc_run
-from symphmc.cli import SWEEP_CSV_HEADER, main
+from symphmc.cli import SWEEP_CSV_HEADER, _fmt, main
 from symphmc.harmonic import rho
 from symphmc.catalog import named_integrator
 
@@ -171,6 +171,45 @@ class TestSweep:
         monkeypatch.setenv("SYMPHMC_THREADS", "3")
         assert run_cli(args + ["--out", str(pooled)]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
+
+
+    def test_best_line_names_the_best_row(self, tmp_path, capsys):
+        out = tmp_path / "best.csv"
+        code = run_cli(["sweep", "--integrator", "proc-3.0", "--dim", "16", "--samples", "150",
+                        "--h", "0.02,0.05,0.1,0.2", "--seed", "1000", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        best = max(rows, key=lambda fields: float(fields[8]))  # the first maximum
+        assert best is not rows[0]
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith(f"best accept-per-gradient: h={best[2]} N={best[3]} ")
+        assert line.endswith(f" accept_per_grad={best[8]}")
+
+    def test_too_few_steps_fails_before_any_chain(self, tmp_path, capsys):
+        # a rowlands leg needs N >= 2; h=4 over the default leg time gives N=1
+        out = tmp_path / "short.csv"
+        code = run_cli(["sweep", "--integrator", "rowlands", "--dim", "4", "--h", "0.1,4", "--samples", "5",
+                        "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "h=4" in err and "N=1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["proc-3.0", "rowlands"])
+    def test_rows_are_direct_chains(self, name, tmp_path):
+        # the sweep adds nothing to the chain: row i is hmc_run's ChainStats at seed ^ i
+        dim, samples, seed, steps = 8, 60, 5, [0.05, 0.1, 0.2]
+        out = tmp_path / "rows.csv"
+        code = run_cli(["sweep", "--integrator", name, "--dim", str(dim), "--samples", str(samples),
+                        "--h", ",".join(map(str, steps)), "--seed", str(seed), "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == len(steps)
+        for i, (h, row) in enumerate(zip(steps, rows)):
+            _, st = hmc_run(gaussian_model(dim), HmcConfig(h, samples, seed ^ i, named_integrator(name)))
+            fields = (name, str(dim), _fmt(h), str(st.cfg.n_steps), _fmt(st.grad_per_leg), str(st.accepted),
+                      str(st.proposed), _fmt(100.0 * st.acceptance_rate), _fmt(st.accept_per_grad), str(st.seed))
+            assert row == ",".join(fields)
 
 
 class TestRhoScan:
