@@ -204,7 +204,7 @@ def cmd_table2(opts: dict) -> int:
 
 
 def cmd_stability(opts: dict) -> int:
-    names = [opts["integrator"]] if "integrator" in opts else ["leapfrog"] + [r.name for r in catalog.REFERENCE_ROWS]
+    names = [opts["integrator"]] if "integrator" in opts else catalog.INTEGRATOR_NAMES
     lines = []
     for name in names:
         integ = catalog.named_integrator(name)
@@ -251,6 +251,9 @@ def cmd_tune(opts: dict) -> int:
         raise CliUsageError("tune needs --integrator <row> or a config with 'init': [b, c, d]")
 
     result = tune(hbar, seed_params)
+    if result.rho_norm < np.finfo(float).eps ** 2:
+        raise CliUsageError(f"hbar={hbar} is too small: the tuned rho_norm {result.rho_norm:.6e} is below eps^2, "
+                            "so (b, c, d) follow rounding noise")
     print(f"hbar={hbar}: b={_fmt(result.b)} c={_fmt(result.c)} d={_fmt(result.d)}")
     print(f"rho_norm={result.rho_norm:.6e} at_hbar={result.rho_at_hbar:.6e} "
           f"interior_peak={result.interior_peak:.6e} evaluations={len(result.trace)}")

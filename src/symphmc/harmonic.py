@@ -1,8 +1,8 @@
 """Transfer-matrix analysis of schedules on the unit harmonic oscillator.
 
 On the model Hamiltonian p^2/2 + q^2/2 every flow is a 2x2 shear: a drift
-moves q by c*h*p, a kick moves p by -c*h*q, and a modified kick by
--c*h*(b_mod - 2*c_mod*h^2)*q.  A schedule becomes a 2x2 map with unit
+moves q by c*h*p, and a kick moves p by -c*h*(b_mod - 2*c_mod*h^2)*q, by
+-c*h*q for a plain kick.  A schedule becomes a 2x2 map with unit
 determinant.  From a kernel's and a preprocessor's maps we get rho_h, the
 N-independent upper bound on a leg's expected energy error at
 stationarity, whose maximum over a step-size budget is the tuning
@@ -21,7 +21,7 @@ from .splitting import FlowKind, FlowSchedule, ProcessedIntegrator
 SCAN_STEP, STABILITY_TOL = 1e-3, 1e-6
 
 # Enum member lookups cost ~0.1 us each; schedule_matrix runs in rho's inner loop.
-_DRIFT, _KICK = FlowKind.DRIFT, FlowKind.KICK
+_DRIFT = FlowKind.DRIFT
 
 
 class TransferMatrix(NamedTuple):
@@ -67,8 +67,7 @@ def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> Tran
             m11 = m11 + c * m21
             m12 = m12 + c * m22
             continue
-        if f.kind is not _KICK:
-            c = c * (f.b_mod - 2.0 * f.c_mod * h * h)
+        c = c * (f.b_mod - 2.0 * f.c_mod * h * h)
         m21 = m21 - c * m11
         m22 = m22 - c * m12
     return TransferMatrix(m11, m12, m21, m22)
@@ -138,17 +137,16 @@ def rho(integ: ProcessedIntegrator, h: float) -> float:
 def _series_matrix(schedule: FlowSchedule) -> np.ndarray:
     """schedule_matrix with h left symbolic: row i holds the coefficients of
     entry i of (m11, m12, m21, m22) in ascending powers of h.  A drift or a
-    kick raises the degree by one, a modified kick (slope linear plus cubic
-    in h) by three."""
-    m = np.zeros((4, 1 + sum(3 if f.kind is FlowKind.MODIFIED_KICK else 1 for f in schedule)))
+    kick with c_mod = 0 raises the degree by one, a kick with c_mod != 0
+    (slope linear plus cubic in h) by three."""
+    m = np.zeros((4, 1 + sum(3 if f.c_mod != 0.0 else 1 for f in schedule)))
     m[0, 0] = m[3, 0] = 1.0
     for f in schedule:
         if f.kind is _DRIFT:
             m[0:2, 1:] += f.coefficient * m[2:4, :-1]
-        elif f.kind is _KICK:
-            m[2:4, 1:] -= f.coefficient * m[0:2, :-1]
-        else:
-            m[2:4, 1:] -= (f.coefficient * f.b_mod) * m[0:2, :-1]
+            continue
+        m[2:4, 1:] -= (f.coefficient * f.b_mod) * m[0:2, :-1]
+        if f.c_mod != 0.0:
             m[2:4, 3:] += (2.0 * f.coefficient * f.c_mod) * m[0:2, :-3]
     return m
 

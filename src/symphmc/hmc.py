@@ -9,8 +9,8 @@ sweep) use independent streams derived from the base seed.
 For the diagonal Gaussian benchmark the leg map factors into independent
 2x2 mode maps, which lets a chain run in O(d) per leg after an O(d log N)
 set-up per chain, instead of O(N d) per leg; this fast path is used
-automatically for every integrator on Gaussian targets (a modified kick is
-an exact shear there too) and is cross-checked against the generic
+automatically for every integrator on Gaussian targets (a drift and every
+kick are exact shears there) and is cross-checked against the generic
 flow-by-flow execution in the test suite.  The two paths differ only in
 their set-up and their proposal; both run the same Metropolis loop.  A
 chain's one record, also a sweep's row, is its ChainStats: the config, the

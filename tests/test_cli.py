@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symphmc import HmcConfig, gaussian_model, hmc_run
+from symphmc import HmcConfig, catalog, gaussian_model, hmc_run
 from symphmc.cli import SWEEP_CSV_HEADER, _fmt, main
 from symphmc.harmonic import rho
 from symphmc.catalog import named_integrator
@@ -40,9 +40,11 @@ class TestStability:
     def test_prints_all_kernels(self, capsys):
         assert run_cli(["stability"]) == 0
         out = capsys.readouterr().out
-        assert out.count("h_s=") == 6
+        assert out.count("h_s=") == 7
+        assert [line.split()[0] for line in out.splitlines()] == list(catalog.INTEGRATOR_NAMES)
         leapfrog = next(line for line in out.splitlines() if line.startswith("leapfrog"))
         assert abs(float(leapfrog.split("h_s=")[1]) - 2.0) < 1e-5
+        assert out.splitlines()[-1] == "rowlands  h_s=3.464102"
 
     def test_single_integrator(self, capsys):
         assert run_cli(["stability", "--integrator", "proc-4.0"]) == 0
@@ -262,6 +264,19 @@ class TestTune:
         code = run_cli(["tune", "--integrator", "proc-3.0", "--h", "1000"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_rounding_noise_budget_is_a_usage_error(self, capsys):
+        # tuned rho_norm 1.9e-34 at hbar = 1e-4, below eps^2 ~ 4.9e-32
+        assert run_cli(["tune", "--integrator", "proc-3.0", "--h", "1e-4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "hbar=0.0001" in err[0]
+
+    def test_small_budget_above_eps_squared_tunes(self, capsys):
+        # tuned rho_norm 1.09e-26 at hbar = 0.01
+        assert run_cli(["tune", "--integrator", "proc-3.0", "--h", "0.01"]) == 0
+        assert "rho_norm=1.09" in capsys.readouterr().out
 
     def test_leapfrog_has_no_seed(self):
         assert run_cli(["tune", "--integrator", "leapfrog"]) == 2

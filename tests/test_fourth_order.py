@@ -52,7 +52,7 @@ class TestCoefficients:
 
     def test_schedules_carry_the_rationals(self):
         mk, dr, ki, dr2 = SCHEME.pre.flows
-        assert (mk.kind, mk.b_mod, mk.c_mod) == (FlowKind.MODIFIED_KICK, float(KAPPA_BETA_1), float(KAPPA_GAMMA_1))
+        assert (mk.kind, mk.b_mod, mk.c_mod) == (FlowKind.KICK, float(KAPPA_BETA_1), float(KAPPA_GAMMA_1))
         assert (dr.kind, dr.coefficient) == (FlowKind.DRIFT, float(KAPPA_ALPHA_1))
         assert (ki.kind, ki.coefficient) == (FlowKind.KICK, float(KAPPA_BETA_2))
         assert (dr2.kind, dr2.coefficient) == (FlowKind.DRIFT, float(KAPPA_ALPHA_2))
@@ -146,8 +146,8 @@ class TestRowlandsLeg:
         assert abs(np.linalg.det(jac) - 1.0) <= 1e-6
 
     def test_oscillator_leg_matches_shear_product(self):
-        # on the unit oscillator every flow is a shear; a modified kick's
-        # force is (b_mod - 2 h^2 c_mod) q, so that is its kick slope
+        # on the unit oscillator every flow is a shear; a kick's force is
+        # (b_mod - 2 h^2 c_mod) q, so that is its slope
         tgt = gaussian_model(1)
         h, n = 0.3, 4
         s0 = PhaseState(np.array([0.8]), np.array([-0.4]))
@@ -159,9 +159,7 @@ class TestRowlandsLeg:
             if f.kind is FlowKind.DRIFT:
                 step = np.array([[1.0, f.coefficient * h], [0.0, 1.0]])
             else:
-                slope = f.coefficient
-                if f.kind is FlowKind.MODIFIED_KICK:
-                    slope *= f.b_mod - 2.0 * f.c_mod * h * h
+                slope = f.coefficient * (f.b_mod - 2.0 * f.c_mod * h * h)
                 step = np.array([[1.0, 0.0], [-slope * h, 1.0]])
             m = step @ m
         expected = m @ np.array([s0.q[0], s0.p[0]])

@@ -13,15 +13,15 @@ DIGITS = 50
 
 def mp_matrix(schedule, h):
     """schedule_matrix in mpmath: the ordered product of the flow shears.
-    A modified kick's force on the oscillator is (b_mod - 2 h^2 c_mod) q."""
+    A kick's force on the oscillator is (b_mod - 2 h^2 c_mod) q, q for a
+    plain kick."""
     m11, m12, m21, m22 = mpf(1), mpf(0), mpf(0), mpf(1)
     for f in schedule:
         c = mpf(f.coefficient) * h
         if f.kind is FlowKind.DRIFT:
             m11, m12 = m11 + c * m21, m12 + c * m22
             continue
-        if f.kind is FlowKind.MODIFIED_KICK:
-            c *= mpf(f.b_mod) - 2 * mpf(f.c_mod) * h * h
+        c *= mpf(f.b_mod) - 2 * mpf(f.c_mod) * h * h
         m21, m22 = m21 - c * m11, m22 - c * m12
     return m11, m12, m21, m22
 

@@ -21,7 +21,8 @@ from symphmc import (
     momentum_flip,
     processed_family,
 )
-from symphmc.catalog import INTEGRATOR_NAMES, named_integrator
+from symphmc.catalog import INTEGRATOR_NAMES, named_integrator, scan_budget
+from symphmc.harmonic import _series_matrix, rho_norm, schedule_matrix
 from symphmc.splitting import _run_flows
 
 from conftest import assert_states_close
@@ -29,20 +30,18 @@ from conftest import assert_states_close
 finite_coeffs = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
-@st.composite
-def schedules(draw):
-    n = draw(st.integers(min_value=0, max_value=6))
-    flows = []
-    for _ in range(n):
-        kind = draw(st.sampled_from([FlowKind.DRIFT, FlowKind.KICK, FlowKind.MODIFIED_KICK]))
-        c = draw(finite_coeffs)
-        if kind is FlowKind.MODIFIED_KICK:
-            flows.append(modified_kick(c, draw(finite_coeffs), draw(finite_coeffs)))
-        elif kind is FlowKind.DRIFT:
-            flows.append(drift(c))
-        else:
-            flows.append(kick(c))
-    return FlowSchedule(tuple(flows))
+# plain kicks, and modified kicks both without (c_mod = 0) and with the
+# Hessian-vector correction
+any_flow = st.one_of(
+    st.builds(drift, finite_coeffs),
+    st.builds(kick, finite_coeffs),
+    st.builds(modified_kick, finite_coeffs, finite_coeffs, st.just(0.0)),
+    st.builds(modified_kick, finite_coeffs, finite_coeffs, finite_coeffs.filter(lambda x: x != 0.0)),
+)
+
+
+def schedules():
+    return st.lists(any_flow, max_size=6).map(lambda fs: FlowSchedule(tuple(fs)))
 
 
 class TestPhaseState:
@@ -236,7 +235,7 @@ def walked_gradient_count(integ, n_steps):
         if not grad_cached:
             count += 1
             grad_cached = True
-        if f.kind is FlowKind.MODIFIED_KICK and f.c_mod != 0.0 and not hvp_cached:
+        if f.c_mod != 0.0 and not hvp_cached:
             count += 1
             hvp_cached = True
     return count
@@ -317,6 +316,47 @@ class TestGradientCounts:
         assert fused_tgt.grad_evals < plain_tgt.grad_evals
         if name == "rowlands":
             assert fused_tgt.hess_evals < plain_tgt.hess_evals
+
+
+def with_unit_modified_kicks(schedule):
+    """The schedule with every plain kick rewritten as modified_kick(c, 1.0, 0.0)."""
+    return FlowSchedule(
+        tuple(modified_kick(f.coefficient, 1.0, 0.0) if f == kick(f.coefficient) else f for f in schedule)
+    )
+
+
+class TestOneKickRule:
+    """A plain kick is a modified kick with (b, c) = (1, 0): rewriting every
+    plain kick that way leaves every output bit-identical."""
+
+    def test_plain_kick_is_a_unit_modified_kick(self):
+        assert kick(0.3) == modified_kick(0.3, 1.0, 0.0)
+        assert kick(-0.7) == modified_kick(-0.7, 1.0, 0.0)
+
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_rewritten_integrator_is_bit_identical(self, name):
+        integ = named_integrator(name)
+        rewritten = ProcessedIntegrator(with_unit_modified_kicks(integ.kernel), with_unit_modified_kicks(integ.pre))
+        hs = np.linspace(0.01, 6.0, 600)
+        for a, b in ((integ.kernel, rewritten.kernel), (integ.pre, rewritten.pre), (integ.post, rewritten.post)):
+            for entry_a, entry_b in zip(schedule_matrix(a, hs), schedule_matrix(b, hs)):
+                assert np.asarray(entry_a).tobytes() == np.asarray(entry_b).tobytes()
+            series_a, series_b = _series_matrix(a), _series_matrix(b)
+            assert series_a.shape == series_b.shape
+            assert series_a.tobytes() == series_b.tobytes()
+
+        budget = scan_budget(name)
+        assert rho_norm(integ, budget).hex() == rho_norm(rewritten, budget).hex()
+        for n_steps in (2, 3, 10):
+            assert leg_gradient_count(integ, n_steps) == leg_gradient_count(rewritten, n_steps)
+
+        s0 = PhaseState(np.array([0.4, -0.1, 0.2]), np.array([0.3, 0.2, -0.5]))
+        tgt_a, tgt_b = anharmonic_model(3), anharmonic_model(3)
+        a = integrate_leg(s0, 0.2, 10, integ, tgt_a)
+        b = integrate_leg(s0, 0.2, 10, rewritten, tgt_b)
+        assert a.q.tobytes() == b.q.tobytes() and a.p.tobytes() == b.p.tobytes()
+        assert (tgt_a.grad_evals, tgt_a.hess_evals) == (tgt_b.grad_evals, tgt_b.hess_evals)
+        assert rewritten.kernel == integ.kernel and rewritten.pre == integ.pre
 
 
 class TestIntegrateLeg:
