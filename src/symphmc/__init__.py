@@ -46,7 +46,7 @@ from .hmc import (
     hmc_run,
 )
 from .tuning import TuneResult, continuation_sweep, evaluate, tune
-from .fourth_order import order_estimate, rowlands_integrator, rowlands_leg
+from .fourth_order import order_estimate, rowlands_leg
 from . import catalog
 
 __version__ = "0.1.0"

@@ -3,20 +3,19 @@
 Each reference row records the step-size budget hbar the parameters were
 tuned for, the kernel parameter b, the processor parameters (c, d), the
 guaranteed upper bound on the energy-error metric over (0, hbar], and the
-length of the kernel's linear stability interval.  Leapfrog and the
-fourth-order positive-coefficient scheme 'rowlands' are named here too.
+length of the kernel's linear stability interval; 'blcasa', the unprocessed
+baseline, is the row with c = d = 0.  Leapfrog and the fourth-order scheme
+'rowlands' are named here too.  Each named integrator is built once, at import.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .splitting import (
     FlowSchedule,
     ProcessedIntegrator,
-    build_kernel,
     drift,
     kick,
     modified_kick,
@@ -52,66 +51,55 @@ class ReferenceRow:
     name: str
     hbar: float
     b: float
-    c: Optional[float]
-    d: Optional[float]
+    c: float
+    d: float
     rho_bound: float
     stability: float
 
 
 REFERENCE_ROWS = (
-    ReferenceRow("blcasa", 3.0, 0.381120, None, None, 7e-5, 4.662),
+    ReferenceRow("blcasa", 3.0, 0.381120, 0.0, 0.0, 7e-5, 4.662),
     ReferenceRow("proc-3.0", 3.0, 0.348674, -0.075640, 0.069720, 6e-8, 4.985),
     ReferenceRow("proc-3.5", 3.5, 0.346660, -0.079510, 0.070171, 5e-7, 5.010),
     ReferenceRow("proc-4.0", 4.0, 0.343684, -0.084690, 0.071880, 5e-6, 5.048),
     ReferenceRow("proc-4.5", 4.5, 0.340200, -0.093500, 0.072800, 5e-5, 5.095),
 )
 
-INTEGRATOR_NAMES = ("leapfrog",) + tuple(row.name for row in REFERENCE_ROWS) + ("rowlands",)
-
 
 def row_by_name(name: str) -> ReferenceRow:
     for row in REFERENCE_ROWS:
         if row.name == name:
             return row
-    raise KeyError(f"no reference row named {name!r}")
+    raise ValueError(f"no reference row named {name!r} (choose from {', '.join(r.name for r in REFERENCE_ROWS)})")
 
 
-def leapfrog_integrator() -> ProcessedIntegrator:
-    kernel = FlowSchedule((kick(0.5), drift(1.0), kick(0.5)))
-    return ProcessedIntegrator(kernel, FlowSchedule())
+_KERNEL_KICK = modified_kick(1.0, float(KERNEL_KICK_B), float(KERNEL_KICK_C))
+_INTEGRATORS = {
+    "leapfrog": ProcessedIntegrator(FlowSchedule((kick(0.5), drift(1.0), kick(0.5))), FlowSchedule()),
+    **{row.name: processed_family(row.b, row.c, row.d) for row in REFERENCE_ROWS},
+    # the modified kernel with kappa as its preprocessor (one kernel step folded in)
+    "rowlands": ProcessedIntegrator(
+        FlowSchedule((_KERNEL_KICK, drift(1.0), _KERNEL_KICK)),
+        FlowSchedule(
+            (
+                modified_kick(1.0, float(KAPPA_BETA_1), float(KAPPA_GAMMA_1)),
+                drift(float(KAPPA_ALPHA_1)),
+                kick(float(KAPPA_BETA_2)),
+                drift(float(KAPPA_ALPHA_2)),
+            )
+        ),
+    ),
+}
 
-
-def blcasa_integrator() -> ProcessedIntegrator:
-    """Unprocessed two-stage baseline: the blcasa row's b, empty processors."""
-    return ProcessedIntegrator(build_kernel(row_by_name("blcasa").b), FlowSchedule())
-
-
-def rowlands_integrator() -> ProcessedIntegrator:
-    """The modified kernel with kappa as its preprocessor (one kernel step folded in)."""
-    mk = modified_kick(1.0, float(KERNEL_KICK_B), float(KERNEL_KICK_C))
-    kappa = FlowSchedule(
-        (
-            modified_kick(1.0, float(KAPPA_BETA_1), float(KAPPA_GAMMA_1)),
-            drift(float(KAPPA_ALPHA_1)),
-            kick(float(KAPPA_BETA_2)),
-            drift(float(KAPPA_ALPHA_2)),
-        )
-    )
-    return ProcessedIntegrator(FlowSchedule((mk, drift(1.0), mk)), kappa)
+INTEGRATOR_NAMES = tuple(_INTEGRATORS)
 
 
 def named_integrator(name: str) -> ProcessedIntegrator:
     """Resolve a CLI integrator name to its coefficient set."""
-    if name == "leapfrog":
-        return leapfrog_integrator()
-    if name == "blcasa":
-        return blcasa_integrator()
-    if name == "rowlands":
-        return rowlands_integrator()
-    for row in REFERENCE_ROWS[1:]:
-        if row.name == name:
-            return processed_family(row.b, row.c, row.d)
-    raise ValueError(f"unknown integrator name {name!r} (choose from {INTEGRATOR_NAMES})")
+    try:
+        return _INTEGRATORS[name]
+    except KeyError:
+        raise ValueError(f"unknown integrator name {name!r} (choose from {INTEGRATOR_NAMES})") from None
 
 
 def scan_budget(name: str) -> float:

@@ -21,7 +21,7 @@ from .errors import NoDescent
 from .fourth_order import order_estimate, rowlands_leg
 from .harmonic import rho, rho_norm, stability_length
 from .hmc import efficiency_curve
-from .splitting import PhaseState
+from .splitting import FlowSchedule, PhaseState, ProcessedIntegrator
 from .targets import anharmonic_model, gaussian_model
 from .tuning import tune
 
@@ -243,10 +243,8 @@ def cmd_tune(opts: dict) -> int:
     if "init" in opts:
         seed_params = opts["init"]
     elif name is not None:
-        if name in ("leapfrog", "rowlands"):
-            raise CliUsageError(f"{name} carries no (b, c, d) seed; pick a reference row")
         row = catalog.row_by_name(name)
-        seed_params = (row.b, row.c or 0.0, row.d or 0.0)
+        seed_params = (row.b, row.c, row.d)
     else:
         raise CliUsageError("tune needs --integrator <row> or a config with 'init': [b, c, d]")
 
@@ -283,9 +281,10 @@ def cmd_rowlands_order(opts: dict) -> int:
     t_final = opts["leg_time"]
     target = anharmonic_model(1)
 
-    processed = order_estimate(target, "processed", t_final, h0, levels=4)
-    bare = order_estimate(target, "kernel", t_final, h0, levels=4)
-    verlet = order_estimate(target, "verlet", t_final, h0, levels=4)
+    rowlands = catalog.named_integrator("rowlands")
+    processed = order_estimate(target, rowlands, t_final, h0, levels=4)
+    bare = order_estimate(target, ProcessedIntegrator(rowlands.kernel, FlowSchedule()), t_final, h0, levels=4)
+    verlet = order_estimate(target, catalog.named_integrator("leapfrog"), t_final, h0, levels=4)
     positive = all(f > 0 for f in catalog.POSITIVE_COEFFICIENTS)
 
     # per-leg cost of the modified-potential kicks: gradients and

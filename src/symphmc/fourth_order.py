@@ -15,11 +15,11 @@ import math
 
 import numpy as np
 
-from .catalog import leapfrog_integrator, rowlands_integrator
-from .splitting import FlowSchedule, PhaseState, ProcessedIntegrator, integrate_leg
+from .catalog import named_integrator
+from .splitting import PhaseState, ProcessedIntegrator, integrate_leg
 from .targets import GaussianModel, TargetModel
 
-_ROWLANDS = rowlands_integrator()
+_ROWLANDS = named_integrator("rowlands")
 
 
 def rowlands_leg(state: PhaseState, h: float, n_steps: int, target: TargetModel) -> PhaseState:
@@ -28,28 +28,20 @@ def rowlands_leg(state: PhaseState, h: float, n_steps: int, target: TargetModel)
 
 
 def order_estimate(
-    target: TargetModel, scheme: str = "processed", t_final: float = 2.0, h0: float = 0.25, levels: int = 4
+    target: TargetModel, integ: ProcessedIntegrator, t_final: float = 2.0, h0: float = 0.25, levels: int = 4
 ) -> list[float]:
-    """Observed convergence orders over successive halvings of the step,
-    from q = 0.4, p = 0.3 in every coordinate.
+    """Observed convergence orders of integ's legs over successive halvings
+    of the step, from q = 0.4, p = 0.3 in every coordinate.
 
-    scheme is 'processed' (the full fourth-order leg), 'kernel' (the bare
-    modified kernel, second order), or 'verlet'.  The reference solution is
-    the exact flow for Gaussian targets and a processed run at h0/64
-    otherwise.  Returns levels-1 values of log2(err_k / err_{k+1}).
+    The reference solution is the exact flow for Gaussian targets and a
+    fourth-order leg at h0/64 otherwise.  Returns levels-1 values of
+    log2(err_k / err_{k+1}).
     """
     if levels < 2:
         raise ValueError("need at least two levels")
     n0 = round(t_final / h0)
     if abs(n0 * h0 - t_final) > 1e-12 * max(1.0, t_final) or n0 < 4 or n0 % 2:
         raise ValueError("choose h0 so that t_final/h0 is an even integer >= 4")
-    legs = {
-        "processed": _ROWLANDS,
-        "kernel": ProcessedIntegrator(_ROWLANDS.kernel, FlowSchedule()),
-        "verlet": leapfrog_integrator(),
-    }
-    if scheme not in legs:
-        raise ValueError(f"unknown scheme {scheme!r}")
 
     initial_state = PhaseState(np.full(target.dim, 0.4), np.full(target.dim, 0.3))
     if isinstance(target, GaussianModel):
@@ -59,7 +51,7 @@ def order_estimate(
 
     errors = []
     for k in range(levels):
-        out = integrate_leg(initial_state, h0 / 2**k, n0 * 2**k, legs[scheme], target)
+        out = integrate_leg(initial_state, h0 / 2**k, n0 * 2**k, integ, target)
         err = max(
             float(np.max(np.abs(out.q - reference.q))),
             float(np.max(np.abs(out.p - reference.p))),

@@ -75,10 +75,12 @@ def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> Tran
 
 def _is_stable(m12, m21):
     # Scalar or per-mode entries.  A unit-determinant palindromic map has
-    # m12*m21 = m11^2 - 1, so this sign decides |m11| < 1.  Unlike m11 it
-    # stays resolved near a kernel passing through -I, where m12 and m21
+    # m12*m21 = m11^2 - 1, so opposite signs decide |m11| < 1.  Unlike m11
+    # they stay resolved near a kernel passing through -I, where m12 and m21
     # are linear in the distance but m11 + 1 is quadratic and rounds to 0.
-    return m12 * m21 < 0.0
+    # The signs are compared, not the product, which underflows to -0.0
+    # below h ~ 1e-162.
+    return ((m12 < 0.0) & (m21 > 0.0)) | ((m12 > 0.0) & (m21 < 0.0))
 
 
 def _first_instability(kernel: FlowSchedule) -> Optional[tuple[float, float]]:
@@ -165,11 +167,13 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
     """
     if not (hbar > 0.0 and math.isfinite(hbar)):
         raise ValueError("hbar must be positive and finite")
+    s_max = hbar * hbar
+    if s_max == 0.0:
+        raise ValueError(f"hbar={hbar} is too small: hbar^2 underflows to 0")
     unstable = (math.inf, math.inf, math.inf)
     at_hbar = rho(integ, hbar)
     if at_hbar == math.inf:
         return unstable
-    s_max = hbar * hbar
     mul = np.convolve
     _, k12, k21, _ = _series_matrix(integ.kernel)
     alpha, beta, gamma, delta = _series_matrix(integ.pre)

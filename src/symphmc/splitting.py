@@ -295,7 +295,7 @@ def _fused_count(flows: Iterable[ElementaryFlow], grad_held: bool, hvp_held: boo
 def leg_gradient_count(integ: ProcessedIntegrator, n_steps: int) -> int:
     """Evaluations a leg of N steps will consume, each Hessian-vector
     product billed as one gradient, from the schedule alone: 3N+5 for the
-    processed family, 3N+1 with empty processors, N+1 for leapfrog and
+    processed family, 3N+1 with empty or zero processors, N+1 for leapfrog and
     2N+4 (N+3 gradients, N+1 products) for the fourth-order scheme at N >= 3.
 
     A kernel's drifts sum to 1, so every kernel step contains a drift and

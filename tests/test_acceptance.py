@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from symphmc import (
+    FlowSchedule,
     HmcConfig,
     PhaseState,
+    ProcessedIntegrator,
     anharmonic_model,
     efficiency_curve,
     gaussian_model,
@@ -65,7 +67,7 @@ ROW_PARAMS = [
 @pytest.mark.parametrize("row", ROW_PARAMS)
 def test_criterion_1_rho_norms(row):
     elapsed = timed()
-    integ = processed_family(row.b, row.c or 0.0, row.d or 0.0)
+    integ = processed_family(row.b, row.c, row.d)
     value = rho_norm(integ, row.hbar)
     assert value >= row.rho_bound / 10.0, f"{row.name}: {value} < {row.rho_bound / 10}"
     assert value <= row.rho_bound, f"{row.name}: computed {value} > shipped {row.rho_bound}"
@@ -216,9 +218,11 @@ def test_criterion_6_near_perfect_acceptance():
 def test_criterion_7_fourth_order():
     elapsed = timed()
     assert all(f > 0 for f in POSITIVE_COEFFICIENTS)  # exact rational check
-    processed = order_estimate(anharmonic_model(1), "processed", 2.0, 0.25, levels=4)
+    rowlands = named_integrator("rowlands")
+    processed = order_estimate(anharmonic_model(1), rowlands, 2.0, 0.25, levels=4)
     assert all(3.5 <= v <= 4.5 for v in processed), processed
-    bare = order_estimate(anharmonic_model(1), "kernel", 2.0, 0.25, levels=4)
+    bare_kernel = ProcessedIntegrator(rowlands.kernel, FlowSchedule())
+    bare = order_estimate(anharmonic_model(1), bare_kernel, 2.0, 0.25, levels=4)
     assert all(1.7 <= v <= 2.3 for v in bare), bare
     report(7, f"processed orders {[round(v, 2) for v in processed]}, bare {[round(v, 2) for v in bare]}, {elapsed():.1f}s")
 

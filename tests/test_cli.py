@@ -236,6 +236,12 @@ class TestRhoScan:
         integ = named_integrator("rowlands")
         assert all(value == rho(integ, h) and math.isfinite(value) for h, value in rows)
 
+    def test_stable_below_product_underflow(self, tmp_path):
+        out = tmp_path / "tiny.csv"
+        assert run_cli(["rho-scan", "--integrator", "proc-3.0", "--h", "1e-200",
+                        "--h-grid", "5", "--out", str(out)]) == 0
+        assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["0"] * 5
+
     def test_explicit_budget(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run_cli(["rho-scan", "--integrator", "leapfrog", "--h", "1.5",
@@ -278,8 +284,18 @@ class TestTune:
         assert run_cli(["tune", "--integrator", "proc-3.0", "--h", "0.01"]) == 0
         assert "rho_norm=1.09" in capsys.readouterr().out
 
-    def test_leapfrog_has_no_seed(self):
-        assert run_cli(["tune", "--integrator", "leapfrog"]) == 2
+    @pytest.mark.parametrize("name", ["leapfrog", "rowlands"])
+    def test_no_seed_outside_the_reference_rows(self, name, capsys):
+        assert run_cli(["tune", "--integrator", name]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: no reference row named {name!r}")
+
+    def test_budget_whose_square_underflows_is_a_usage_error(self, capsys):
+        assert run_cli(["tune", "--integrator", "proc-3.0", "--h", "1e-200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: hbar=1e-200 is too small")
 
     def test_needs_some_seed(self):
         assert run_cli(["tune", "--h", "3.0"]) == 2

@@ -6,14 +6,15 @@ import pytest
 
 from symphmc import (
     FlowKind,
+    FlowSchedule,
     InsufficientSteps,
     PhaseState,
+    ProcessedIntegrator,
     anharmonic_model,
     gaussian_model,
     modified_kick,
     momentum_flip,
     order_estimate,
-    rowlands_integrator,
     rowlands_leg,
 )
 from symphmc.catalog import (
@@ -25,12 +26,14 @@ from symphmc.catalog import (
     KERNEL_KICK_B,
     KERNEL_KICK_C,
     POSITIVE_COEFFICIENTS,
+    named_integrator,
 )
 from symphmc.splitting import _run_flows
 
 from conftest import assert_states_close
 
-SCHEME = rowlands_integrator()
+SCHEME = named_integrator("rowlands")
+BARE_KERNEL = ProcessedIntegrator(SCHEME.kernel, FlowSchedule())
 
 
 def modified_force(q, b_mod, c_mod, h, target):
@@ -169,25 +172,23 @@ class TestRowlandsLeg:
 
 class TestOrderEstimate:
     def test_processed_is_fourth_order_on_anharmonic(self):
-        orders = order_estimate(anharmonic_model(1), "processed", 2.0, 0.25, levels=4)
+        orders = order_estimate(anharmonic_model(1), SCHEME, 2.0, 0.25, levels=4)
         assert all(3.5 <= v <= 4.5 for v in orders)
 
     def test_processed_is_fourth_order_on_harmonic(self):
-        orders = order_estimate(gaussian_model(1), "processed", 2.0, 0.25, levels=3)
+        orders = order_estimate(gaussian_model(1), SCHEME, 2.0, 0.25, levels=3)
         assert all(3.5 <= v <= 4.5 for v in orders)
 
     def test_bare_kernel_is_second_order(self):
-        orders = order_estimate(anharmonic_model(1), "kernel", 2.0, 0.25, levels=4)
+        orders = order_estimate(anharmonic_model(1), BARE_KERNEL, 2.0, 0.25, levels=4)
         assert all(1.7 <= v <= 2.3 for v in orders)
 
     def test_verlet_is_second_order(self):
-        orders = order_estimate(anharmonic_model(1), "verlet", 2.0, 0.25, levels=3)
+        orders = order_estimate(anharmonic_model(1), named_integrator("leapfrog"), 2.0, 0.25, levels=3)
         assert all(1.7 <= v <= 2.3 for v in orders)
 
     def test_step_compatibility_enforced(self):
         with pytest.raises(ValueError):
-            order_estimate(anharmonic_model(1), "processed", 2.0, 0.3, levels=3)
+            order_estimate(anharmonic_model(1), SCHEME, 2.0, 0.3, levels=3)
         with pytest.raises(ValueError):
-            order_estimate(anharmonic_model(1), "nope", 2.0, 0.25, levels=3)
-        with pytest.raises(ValueError):
-            order_estimate(anharmonic_model(1), "processed", 2.0, 0.25, levels=1)
+            order_estimate(anharmonic_model(1), SCHEME, 2.0, 0.25, levels=1)

@@ -15,8 +15,8 @@ from symphmc import (
     schedule_matrix,
     stability_length,
 )
-from symphmc.catalog import REFERENCE_ROWS, named_integrator, row_by_name
-from symphmc.harmonic import _rho_profile, _series_matrix
+from symphmc.catalog import INTEGRATOR_NAMES, REFERENCE_ROWS, named_integrator, row_by_name
+from symphmc.harmonic import _is_stable, _rho_profile, _series_matrix
 from symphmc.splitting import processed_family
 
 from oscillator_oracle import UnstableStep, expected_energy_error, leg_matrix, sandwich, spectrum
@@ -237,6 +237,23 @@ class TestRho:
     def test_unstable_is_inf(self):
         assert rho(VERLET, 2.5) == math.inf
 
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_stable_below_product_underflow(self, name):
+        # k12*k21 ~ -h^2 underflows to -0.0 below h ~ 1.5e-162; the signs do not
+        integ = named_integrator(name)
+        k12, k21 = schedule_matrix(integ.kernel, 1e-200)[1:3]
+        assert k12 * k21 == 0.0 and _is_stable(k12, k21)
+        assert rho(integ, 1e-200) == 0.0
+        hs = np.array([1e-200, 1e-100, 1.0])
+        assert _is_stable(*schedule_matrix(integ.kernel, hs)[1:3]).all()
+
+    @given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150))
+    def test_sign_test_is_the_product_test(self, m12, m21):
+        # wherever the product does not underflow, the decisions agree
+        product = m12 * m21
+        if product != 0.0 or m12 == 0.0 or m21 == 0.0:
+            assert _is_stable(m12, m21) == (product < 0.0)
+
     @pytest.mark.parametrize("row", REFERENCE_ROWS, ids=lambda r: r.name)
     def test_bounds_expected_error_for_any_leg_length(self, row):
         integ = named_integrator(row.name)
@@ -259,7 +276,7 @@ class TestRhoNorm:
 
     def test_beyond_stability_is_inf(self):
         assert rho_norm(VERLET, 2.5) == math.inf
-        for name in ["leapfrog"] + [row.name for row in REFERENCE_ROWS]:
+        for name in INTEGRATOR_NAMES:
             integ = named_integrator(name)
             h_s = stability_length(integ.kernel)
             assert rho_norm(integ, 1.001 * h_s) == math.inf, name
@@ -287,6 +304,10 @@ class TestRhoNorm:
             rho_norm(ROW2, 0.0)
         with pytest.raises(ValueError):
             rho_norm(ROW2, math.inf)
+
+    def test_budget_whose_square_underflows_is_rejected(self):
+        with pytest.raises(ValueError, match="hbar=1e-200 is too small"):
+            rho_norm(ROW2, 1e-200)
 
     def test_monotone_in_budget(self):
         budgets = [1e-4, 1.5, 2.0, 2.5, 3.0]  # at 1e-4 the kernel's m11 rounds to 1.0

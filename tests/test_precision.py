@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from symphmc import FlowKind, rho_norm, stability_length
-from symphmc.catalog import REFERENCE_ROWS, named_integrator
+from symphmc.catalog import INTEGRATOR_NAMES, REFERENCE_ROWS, named_integrator
 
 DIGITS = 50
 
@@ -91,7 +91,7 @@ def test_rho_norm_matches_50_digit_maximum(row):
         assert abs(rho_norm(integ, row.hbar) - exact) <= 5e-12 * exact
 
 
-@pytest.mark.parametrize("name", ["leapfrog"] + [row.name for row in REFERENCE_ROWS] + ["rowlands"])
+@pytest.mark.parametrize("name", INTEGRATOR_NAMES)
 def test_stability_length_matches_50_digit_instability(name):
     kernel = named_integrator(name).kernel
     with mp.workdps(DIGITS):

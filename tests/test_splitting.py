@@ -6,6 +6,7 @@ from symphmc import (
     DegenerateParameter,
     FlowKind,
     FlowSchedule,
+    HmcConfig,
     NonFiniteState,
     PhaseState,
     ProcessedIntegrator,
@@ -14,6 +15,7 @@ from symphmc import (
     build_processor,
     drift,
     gaussian_model,
+    hmc_run,
     integrate_leg,
     kick,
     leg_gradient_count,
@@ -21,7 +23,7 @@ from symphmc import (
     momentum_flip,
     processed_family,
 )
-from symphmc.catalog import INTEGRATOR_NAMES, named_integrator, scan_budget
+from symphmc.catalog import INTEGRATOR_NAMES, REFERENCE_ROWS, named_integrator, row_by_name, scan_budget
 from symphmc.harmonic import _series_matrix, rho_norm, schedule_matrix
 from symphmc.splitting import _run_flows
 
@@ -127,7 +129,7 @@ class TestBuildProcessor:
     def test_zero_processor_is_identity_equivalent(self):
         tgt = gaussian_model(2)
         integ = processed_family(0.381120, 0.0, 0.0)
-        bare = named_integrator("blcasa")
+        bare = ProcessedIntegrator(build_kernel(0.381120), FlowSchedule())
         s0 = PhaseState(np.array([0.3, -0.2]), np.array([0.1, 0.5]))
         tgt_a, tgt_b = tgt.fresh(), tgt.fresh()
         a = integrate_leg(s0, 0.1, 4, integ, tgt_a)
@@ -135,6 +137,42 @@ class TestBuildProcessor:
         ga, gb = tgt_a.grad_evals + tgt_a.hess_evals, tgt_b.grad_evals + tgt_b.hess_evals
         assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
         assert ga == gb  # zero-coefficient kicks are skipped entirely
+
+        # the four zero flows are exact identity shears on the oscillator
+        hs = np.linspace(0.01, 6.0, 600)
+        for got, want in ((integ.pre, bare.pre), (integ.post, bare.post)):
+            for x, y in zip(schedule_matrix(got, hs), schedule_matrix(want, hs)):
+                assert np.broadcast_to(x, hs.shape).tobytes() == np.broadcast_to(y, hs.shape).tobytes()
+        assert rho_norm(integ, 3.0).hex() == rho_norm(bare, 3.0).hex()
+        for n in (1, 2, 3, 10, 1001):
+            assert leg_gradient_count(integ, n) == leg_gradient_count(bare, n) == 3 * n + 1
+        # fast path: per-mode leg maps with the processor maps multiplied in
+        _, st_a = hmc_run(gaussian_model(64), HmcConfig(0.05, 50, 3, integ))
+        _, st_b = hmc_run(gaussian_model(64), HmcConfig(0.05, 50, 3, bare))
+        assert st_a.energy_errors.tobytes() == st_b.energy_errors.tobytes()
+        assert (st_a.accepted, st_a.grad_evals) == (st_b.accepted, st_b.grad_evals)
+
+
+class TestCatalog:
+    def test_names_keep_their_order(self):
+        assert INTEGRATOR_NAMES == (
+            "leapfrog", "blcasa", "proc-3.0", "proc-3.5", "proc-4.0", "proc-4.5", "rowlands"
+        )
+
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_each_integrator_is_built_once(self, name):
+        assert named_integrator(name) is named_integrator(name)
+
+    def test_every_reference_row_is_a_family_member(self):
+        for row in REFERENCE_ROWS:
+            assert named_integrator(row.name) == processed_family(row.b, row.c, row.d)
+        assert (row_by_name("blcasa").c, row_by_name("blcasa").d) == (0.0, 0.0)
+
+    def test_unknown_names_are_value_errors(self):
+        with pytest.raises(ValueError, match="unknown integrator name 'nope'"):
+            named_integrator("nope")
+        with pytest.raises(ValueError, match="no reference row named 'leapfrog'.*blcasa, proc-3.0"):
+            row_by_name("leapfrog")
 
 
 class TestAdjoint:

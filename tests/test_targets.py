@@ -40,9 +40,9 @@ class TestGaussianModel:
         # mode j behaves like the unit oscillator at step h*j, so verlet
         # stays stable only below 2/d
         from symphmc import stability_length
-        from symphmc.catalog import leapfrog_integrator
+        from symphmc.catalog import named_integrator
 
-        limit = stability_length(leapfrog_integrator().kernel)
+        limit = stability_length(named_integrator("leapfrog").kernel)
         assert abs(limit / 256 - 2.0 / 256) < 1e-8
 
     def test_exact_sample_variances(self):
