@@ -11,6 +11,7 @@ objective.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
@@ -124,8 +125,11 @@ def rho(integ: ProcessedIntegrator, h: float) -> float:
     """N-independent upper bound on the expected leg energy error at step h.
 
     Returns +inf when the kernel is unstable at h, so the tuner's objective
-    stays totally ordered.
+    stays totally ordered.  A subnormal h is a ValueError: the maps' entries
+    lose their precision there, while the true value underflows to 0.
     """
+    if 0.0 < h < sys.float_info.min:
+        raise ValueError(f"h={h} is subnormal: rho is not resolved below {sys.float_info.min}")
     _, k12, k21, _ = schedule_matrix(integ.kernel, h)
     if not _is_stable(k12, k21):
         return math.inf

@@ -16,6 +16,7 @@ their set-up and their proposal; both run the same Metropolis loop.  A
 chain's one record, also a sweep's row, is its ChainStats: the config, the
 accepted count, the energy errors and the evaluations used, each
 Hessian-vector product billed as one gradient; its rates derive from these.
+A sweep chain keeps no positions, so it holds O(d + n) memory, not O(n d).
 """
 from __future__ import annotations
 
@@ -99,14 +100,17 @@ def hmc_run(
     target: TargetModel,
     cfg: HmcConfig,
     use_fast_path: bool | None = None,
-) -> tuple[np.ndarray, ChainStats]:
+    *,
+    positions: bool = True,
+) -> tuple[np.ndarray | None, ChainStats]:
     """Run one chain of cfg.n_samples iterations.
 
     Momentum refreshment draws standard normals (unit mass matrix).  Returns
     the positions after each iteration (shape (n_samples, dim)) and the
-    chain statistics.  A leg that leaves the floating-point range is treated
-    as dH = +inf (certain rejection), never a crash.  Fully deterministic
-    given (target, cfg).
+    chain statistics.  With positions=False no positions are stored and the
+    first item is None; the statistics are the same.  A leg that leaves the
+    floating-point range is treated as dH = +inf (certain rejection), never
+    a crash.  Fully deterministic given (target, cfg).
     """
     tgt = target.fresh()
     gaussian = isinstance(tgt, GaussianModel)
@@ -117,19 +121,19 @@ def hmc_run(
     rng = np.random.default_rng(cfg.seed)
     q0 = tgt.exact_sample(rng) if gaussian else np.zeros(tgt.dim)
     if fast:
-        return _run_fast(tgt, cfg, rng, q0)
-    return _run_generic(tgt, cfg, rng, q0)
+        return _run_fast(tgt, cfg, rng, q0, positions)
+    return _run_generic(tgt, cfg, rng, q0, positions)
 
 
-def _metropolis(propose, q0: np.ndarray, n: int, rng: np.random.Generator):
+def _metropolis(propose, q0: np.ndarray, n: int, rng: np.random.Generator, positions: bool):
     """The accept/reject loop shared by both paths.
 
     propose(q, p) returns (dH, proposed position); a non-finite dH counts as
-    +inf.  Returns the positions after each iteration, the dH values and the
-    number of accepted proposals.
+    +inf.  Returns the positions after each iteration (None unless
+    positions), the dH values and the number of accepted proposals.
     """
     d = q0.shape[0]
-    samples = np.empty((n, d))
+    samples = np.empty((n, d)) if positions else None
     dh = np.empty(n)
     accepted = 0
     q = q0
@@ -144,11 +148,12 @@ def _metropolis(propose, q0: np.ndarray, n: int, rng: np.random.Generator):
             if float(np.log(u)) < -delta:
                 q = proposal
                 accepted += 1
-            samples[m] = q
+            if positions:
+                samples[m] = q
     return samples, dh, accepted
 
 
-def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray):
+def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray, positions: bool):
     integ, n_steps = cfg.integrator, cfg.n_steps
 
     def propose(q: np.ndarray, p: np.ndarray):
@@ -160,11 +165,11 @@ def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0:
             return math.inf, q
         return energy(tgt, proposal) - h_current, proposal.q
 
-    samples, dh, accepted = _metropolis(propose, q0, cfg.n_samples, rng)
+    samples, dh, accepted = _metropolis(propose, q0, cfg.n_samples, rng, positions)
     return samples, ChainStats(cfg, accepted, tgt.grad_evals + tgt.hess_evals, dh)
 
 
-def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray):
+def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray, positions: bool):
     integ, n_steps = cfg.integrator, cfg.n_steps
     x = cfg.h * tgt.frequencies  # per-mode step on the unit oscillator
 
@@ -182,13 +187,14 @@ def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: 
         return 0.5 * (q1 @ q1 + p1 @ p1) - h_current, q1
 
     # scaled coordinates: each mode is a unit oscillator
-    samples, dh, accepted = _metropolis(propose, tgt.frequencies * q0, cfg.n_samples, rng)
-    samples /= tgt.frequencies
+    samples, dh, accepted = _metropolis(propose, tgt.frequencies * q0, cfg.n_samples, rng, positions)
+    if positions:
+        samples /= tgt.frequencies
     return samples, ChainStats(cfg, accepted, grad_per_leg * cfg.n_samples, dh)
 
 
 def _chain_stats(job) -> ChainStats:
-    return hmc_run(*job)[1]
+    return hmc_run(*job, positions=False)[1]
 
 
 def efficiency_curve(
@@ -203,6 +209,7 @@ def efficiency_curve(
     """Each chain's ChainStats, one chain per step size, chain i seeded with
     seed ^ i; every config is built before any chain runs.  Results are
     bit-identical for any worker count because every chain owns its stream.
+    Chains keep no positions, so each holds O(d + n) memory.
     """
     jobs = [(target, HmcConfig(float(h), n_samples, seed ^ i, integrator, leg_time)) for i, h in enumerate(h_list)]
     if workers > 1 and len(jobs) > 1:

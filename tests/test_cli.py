@@ -242,6 +242,16 @@ class TestRhoScan:
                         "--h-grid", "5", "--out", str(out)]) == 0
         assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["0"] * 5
 
+    def test_subnormal_budget_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "subnormal.csv"
+        assert run_cli(["rho-scan", "--integrator", "blcasa", "--h", "1e-320",
+                        "--h-grid", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: h=")
+        assert "is subnormal" in err[0]
+
     def test_explicit_budget(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run_cli(["rho-scan", "--integrator", "leapfrog", "--h", "1.5",

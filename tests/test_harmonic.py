@@ -247,6 +247,13 @@ class TestRho:
         hs = np.array([1e-200, 1e-100, 1.0])
         assert _is_stable(*schedule_matrix(integ.kernel, hs)[1:3]).all()
 
+    @pytest.mark.parametrize("h", [1e-310, 1e-320, 5e-324])
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_subnormal_step_is_rejected(self, name, h):
+        # the maps lose their precision there while the true rho underflows to 0
+        with pytest.raises(ValueError, match=f"h={h} is subnormal"):
+            rho(named_integrator(name), h)
+
     @given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150))
     def test_sign_test_is_the_product_test(self, m12, m21):
         # wherever the product does not underflow, the decisions agree

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,10 +70,14 @@ class TestConfig:
 class TestMetropolis:
     def test_zero_energy_change_is_always_accepted(self):
         q0 = np.array([0.5, -1.0, 2.0])
-        samples, dh, accepted = _metropolis(lambda q, p: (0.0, q), q0, 500, np.random.default_rng(3))
-        assert accepted == 500
-        assert np.array_equal(dh, np.zeros(500))
-        assert np.array_equal(samples, np.tile(q0, (500, 1)))
+        for positions in (True, False):
+            samples, dh, accepted = _metropolis(lambda q, p: (0.0, q), q0, 500, np.random.default_rng(3), positions)
+            assert accepted == 500
+            assert np.array_equal(dh, np.zeros(500))
+            if positions:
+                assert np.array_equal(samples, np.tile(q0, (500, 1)))
+            else:
+                assert samples is None
 
 
 class TestHmcRun:
@@ -98,6 +103,19 @@ class TestHmcRun:
             assert st_fast.grad_evals == st_gen.grad_evals, name
             assert np.max(np.abs(s_fast - s_gen)) <= 1e-10, name
             assert np.max(np.abs(st_fast.energy_errors - st_gen.energy_errors)) <= 1e-10, name
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "generic"])
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_dropping_positions_changes_nothing_else(self, name, fast):
+        integ = named_integrator(name)
+        h = 0.35 * stability_length(integ.kernel) / stability_length(ROW2.kernel)
+        cfg = HmcConfig(h=h, n_samples=100, seed=9, integrator=integ)
+        _, kept = hmc_run(gaussian_model(6), cfg, use_fast_path=fast)
+        samples, dropped = hmc_run(gaussian_model(6), cfg, use_fast_path=fast, positions=False)
+        assert samples is None
+        assert dropped.cfg == kept.cfg
+        assert (dropped.accepted, dropped.grad_evals) == (kept.accepted, kept.grad_evals)
+        assert dropped.energy_errors.tobytes() == kept.energy_errors.tobytes()
 
     def test_fast_path_honours_a_folded_kernel_step(self):
         # leapfrog with one kernel step folded into its preprocessor is
@@ -198,6 +216,22 @@ class TestEfficiencyCurve:
             return st.cfg, st.accepted, st.grad_evals, st.energy_errors.tobytes()
 
         assert [record(st) for st in serial] == [record(st) for st in parallel]
+
+    def test_chain_memory_does_not_grow_with_samples_times_dim(self):
+        # a stored chain would hold n * d * 8 bytes (16 MiB here); a sweep
+        # chain keeps only its energy errors and O(d) work arrays
+        from symphmc.cli import default_h_grid
+
+        d, n = 1024, 2000
+        target, integ = gaussian_model(d), named_integrator("proc-3.0")
+        h = default_h_grid("proc-3.0", d, 12)[6]
+        tracemalloc.start()
+        try:
+            efficiency_curve(target, [h], integ, n_samples=n, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 4
 
     def test_efficiency_ordering_at_moderate_dimension(self):
         # the multistage integrators beat verlet per gradient at d = 256 too,
