@@ -9,10 +9,19 @@ kernel is palindromic.  A preprocessor whose drift and kick weights sum to
 1 has one kernel step folded in (the fourth-order kappa); a leg of N steps
 then runs the kernel N - 2 times instead of N, so it always spans N*h.
 Processed, fourth-order and Verlet legs all run through integrate_leg.
+
+A leg lowers each schedule once to plain (is_drift, c*h, b_mod,
+2*c_mod*h^2) tuples, dropping zero-coefficient flows, and the executor
+moves its own copies of q and p in place through one scratch buffer, with
+the same roundings as the allocating q + (c*h)*p and p - (c*h)*force.
+A kick whose tuple equals the previous kick's, with no drift between,
+subtracts the scaled force again, so the second of the half kicks that
+meet at each kernel step boundary costs one array pass instead of two.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -166,7 +175,10 @@ class ProcessedIntegrator:
         raise ValueError("processor drift and kick-weight sums must both be 0, or both be 1")
 
     def kernel_steps(self, n_steps: int) -> int:
-        """Kernel steps in a leg of N steps: N - 2*folded."""
+        """Kernel steps in a leg of N steps: N - 2*folded.  N is an integer
+        (numpy integers too), never a float or a bool."""
+        if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
+            raise TypeError(f"the number of steps N={n_steps!r} is not an integer")
         if n_steps < 1 + self.folded:
             raise InsufficientSteps(f"a leg of this integrator needs N >= {1 + self.folded} steps")
         return n_steps - 2 * self.folded
@@ -211,41 +223,55 @@ def processed_family(b: float, c: float, d: float) -> ProcessedIntegrator:
     return ProcessedIntegrator(build_kernel(b), build_processor(c, d))
 
 
+def _lower(flows: Iterable[ElementaryFlow], h: float) -> tuple[tuple[bool, float, float, Optional[float]], ...]:
+    """Flows as (is_drift, c*h, b_mod, 2*c_mod*h^2), the last None for c_mod = 0;
+    flows with coefficient exactly zero are dropped (no evaluation, no count)."""
+    h2 = h * h
+    # tuple(generator) builds by resizing, past the tuple free list that freeing
+    # refills, so each leg would leave its tuples there (up to 2000 per length)
+    lowered = [(f.kind is FlowKind.DRIFT, f.coefficient * h, f.b_mod, 2.0 * f.c_mod * h2 if f.c_mod != 0.0 else None)
+               for f in flows if f.coefficient != 0.0]
+    return tuple(lowered)
+
+
 def _run_flows(
     q: np.ndarray,
     p: np.ndarray,
-    flows: Iterable[ElementaryFlow],
-    h: float,
+    steps: Iterable[tuple[bool, float, float, Optional[float]]],
     target: "TargetModel",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply flows in order, caching the gradient between kicks.
+    """Apply lowered flows in order to copies of q and p, updated in place.
 
-    The cache is keyed on the position being unchanged since the last force
-    evaluation: any drift with nonzero coefficient invalidates it, and kicks
-    with coefficient exactly zero are skipped outright (no evaluation, no
-    counter increment).  Finiteness is checked once, at the end: no flow
-    turns a non-finite entry finite again.
+    Each flow scales into one scratch buffer and adds it to q or subtracts
+    it from p: the same two roundings as q + (c*h)*p and p - (c*h)*force.
+    The gradient and Hessian-vector product are cached while q is unchanged;
+    a drift invalidates them.  A kick equal to the previous kick, with no
+    drift between, subtracts the scaled force still in the buffer.
+    Finiteness is checked once, at the end: no flow turns a non-finite
+    entry finite again.
     """
+    q, p = q.copy(), p.copy()
+    scaled = np.empty_like(q)
     grad: Optional[np.ndarray] = None
     hvp: Optional[np.ndarray] = None
-    h2 = h * h
-    for f in flows:
-        coeff = f.coefficient
-        if coeff == 0.0:
+    last_kick = None
+    for step in steps:
+        is_drift, ch, b_mod, c2h2 = step
+        if is_drift:
+            np.add(q, np.multiply(p, ch, out=scaled), out=q)
+            grad = hvp = last_kick = None
             continue
-        if f.kind is FlowKind.DRIFT:
-            q = q + (coeff * h) * p
-            grad = None
-            hvp = None
-        else:
+        if step != last_kick:
             if grad is None:
                 grad = target.gradient(q)
-            force = grad if f.b_mod == 1.0 else f.b_mod * grad  # a multiply by 1 costs an array pass
-            if f.c_mod != 0.0:
+            force = grad if b_mod == 1.0 else b_mod * grad  # a multiply by 1 costs an array pass
+            if c2h2 is not None:
                 if hvp is None:
                     hvp = target.hessian_vec(q, grad)
-                force = force - (2.0 * f.c_mod * h2) * hvp
-            p = p - (coeff * h) * force
+                force = force - c2h2 * hvp
+            np.multiply(force, ch, out=scaled)
+            last_kick = step
+        np.subtract(p, scaled, out=p)
     if not (np.isfinite(q).all() and np.isfinite(p).all()):
         raise NonFiniteState("the flows produced a non-finite state")
     return q, p
@@ -260,18 +286,19 @@ def integrate_leg(
 ) -> PhaseState:
     """Run one leg of N steps spanning N*h: pre, N - 2*folded kernel steps, post.
 
-    Returns the final state.  The target's grad_evals and hess_evals
-    counters record what the leg consumed; leg_gradient_count gives the
-    same total in closed form.
+    Each schedule is lowered once per leg and the kernel's lowered steps are
+    repeated lazily.  Returns the final state, in new arrays.  The target's
+    grad_evals and hess_evals counters record what the leg consumed;
+    leg_gradient_count gives the same total in closed form.
     """
     kernel_steps = integ.kernel_steps(n_steps)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive and finite")
     if state.dim != target.dim:
         raise ValueError(f"state dimension {state.dim} != target dimension {target.dim}")
-    kernel = chain.from_iterable(repeat(integ.kernel.flows, kernel_steps))
-    flows = chain(integ.pre.flows, kernel, integ.post.flows)
-    return PhaseState(*_run_flows(state.q, state.p, flows, h, target))
+    kernel = chain.from_iterable(repeat(_lower(integ.kernel, h), kernel_steps))
+    steps = chain(_lower(integ.pre, h), kernel, _lower(integ.post, h))
+    return PhaseState(*_run_flows(state.q, state.p, steps, target))
 
 
 def _fused_count(flows: Iterable[ElementaryFlow], grad_held: bool, hvp_held: bool) -> tuple[int, bool, bool]:

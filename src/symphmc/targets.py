@@ -23,6 +23,11 @@ class TargetModel:
     Subclasses implement ``_potential`` and ``_gradient`` and may override
     ``_hessian_vec`` (the default is a central finite difference of the
     gradient).
+
+    The leg executor never writes into an array that ``gradient`` or
+    ``hessian_vec`` returns, so a hook may return its argument itself.  It
+    does move its ``q`` in place between calls, so a target must not keep a
+    reference to the ``q`` it was given.
     """
 
     def __init__(self, dim: int):

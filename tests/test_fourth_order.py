@@ -28,7 +28,7 @@ from symphmc.catalog import (
     POSITIVE_COEFFICIENTS,
     named_integrator,
 )
-from symphmc.splitting import _run_flows
+from symphmc.splitting import _lower, _run_flows
 
 from conftest import assert_states_close
 
@@ -38,7 +38,7 @@ BARE_KERNEL = ProcessedIntegrator(SCHEME.kernel, FlowSchedule())
 
 def modified_force(q, b_mod, c_mod, h, target):
     """The force of one unit modified_kick flow, read off its momentum from p = 0."""
-    _, p = _run_flows(q, np.zeros_like(q), (modified_kick(1.0, b_mod, c_mod),), h, target)
+    _, p = _run_flows(q, np.zeros_like(q), _lower((modified_kick(1.0, b_mod, c_mod),), h), target)
     return -p / h
 
 
@@ -122,7 +122,7 @@ class TestRowlandsLeg:
         tgt = anharmonic_model(2)
         s0 = PhaseState(np.array([0.4, -0.3]), np.array([0.2, 0.6]))
         out = rowlands_leg(s0, 0.3, 2, tgt)
-        q, p = _run_flows(s0.q, s0.p, SCHEME.pre.flows + SCHEME.post.flows, 0.3, tgt)
+        q, p = _run_flows(s0.q, s0.p, _lower(SCHEME.pre.flows + SCHEME.post.flows, 0.3), tgt)
         assert np.array_equal(out.q, q) and np.array_equal(out.p, p)
 
     def test_reversibility_with_momentum_flip(self):

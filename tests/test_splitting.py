@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,9 +27,11 @@ from symphmc import (
 )
 from symphmc.catalog import INTEGRATOR_NAMES, REFERENCE_ROWS, named_integrator, row_by_name, scan_budget
 from symphmc.harmonic import _series_matrix, rho_norm, schedule_matrix
-from symphmc.splitting import _run_flows
+from symphmc.splitting import _lower, _run_flows
+from symphmc.targets import TargetModel
 
 from conftest import assert_states_close
+from flow_oracle import allocating_leg, allocating_run_flows
 
 finite_coeffs = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -231,12 +235,35 @@ class TestProcessedIntegrator:
         with pytest.raises(ValueError):
             integrate_leg(s0, 0.2, 1, folded, anharmonic_model(2))
 
+    @pytest.mark.parametrize("n_steps", [10.0, np.float64(10.0), 10.5, True, np.bool_(True), "10"])
+    def test_non_integer_step_count_is_rejected(self, n_steps):
+        # the closed-form count and the leg fail the same way, naming N
+        integ = named_integrator("proc-3.0")
+        message = re.escape(f"N={n_steps!r}")
+        with pytest.raises(TypeError, match=message):
+            integ.kernel_steps(n_steps)
+        with pytest.raises(TypeError, match=message):
+            leg_gradient_count(integ, n_steps)
+        tgt = gaussian_model(2)
+        with pytest.raises(TypeError, match=message):
+            integrate_leg(PhaseState(np.ones(2), np.ones(2)), 0.1, n_steps, integ, tgt)
+        assert tgt.grad_evals == 0
+
+    @pytest.mark.parametrize("n_steps", [np.int64(10), np.int32(10), np.uint8(10)])
+    def test_numpy_integer_step_count_is_accepted(self, n_steps):
+        integ = named_integrator("proc-3.0")
+        assert leg_gradient_count(integ, n_steps) == leg_gradient_count(integ, 10) == 35
+        s0 = PhaseState(np.array([0.3, -0.6]), np.array([0.5, 0.1]))
+        a = integrate_leg(s0, 0.1, n_steps, integ, gaussian_model(2))
+        b = integrate_leg(s0, 0.1, 10, integ, gaussian_model(2))
+        assert a.q.tobytes() == b.q.tobytes() and a.p.tobytes() == b.p.tobytes()
+
 
 class TestApplyFlow:
     def test_drift_shift(self):
         tgt = gaussian_model(2)
         s = PhaseState(np.zeros(2), np.array([2.0, 0.0]))
-        q, p = _run_flows(s.q, s.p, (drift(1.0),), 0.1, tgt)
+        q, p = _run_flows(s.q, s.p, _lower((drift(1.0),), 0.1), tgt)
         assert np.allclose(q, [0.2, 0.0], atol=0, rtol=0)
         assert np.array_equal(p, s.p)
         assert tgt.grad_evals == 0
@@ -244,14 +271,14 @@ class TestApplyFlow:
     def test_zero_kick_skipped(self):
         tgt = gaussian_model(2)
         s = PhaseState(np.array([1.0, 2.0]), np.array([0.3, 0.4]))
-        q, p = _run_flows(s.q, s.p, (kick(0.0),), 0.1, tgt)
+        q, p = _run_flows(s.q, s.p, _lower((kick(0.0),), 0.1), tgt)
         assert np.array_equal(q, s.q) and np.array_equal(p, s.p)
         assert tgt.grad_evals == 0
 
     def test_modified_kick_without_correction_is_scaled_kick(self):
         tgt = anharmonic_model(2)
         s = PhaseState(np.array([0.4, -0.8]), np.array([0.0, 0.1]))
-        _, p = _run_flows(s.q, s.p, (modified_kick(1.0, 0.25, 0.0),), 0.3, tgt.fresh())
+        _, p = _run_flows(s.q, s.p, _lower((modified_kick(1.0, 0.25, 0.0),), 0.3), tgt.fresh())
         expected = s.p - 0.3 * 0.25 * tgt.fresh().gradient(s.q)
         assert np.allclose(p, expected, rtol=0, atol=0)
 
@@ -285,7 +312,7 @@ def unfused_leg(state, h, n_steps, integ, target):
     flows = (*integ.pre, *(integ.kernel.flows * integ.kernel_steps(n_steps)), *integ.post)
     q, p = state.q, state.p
     for f in flows:
-        q, p = _run_flows(q, p, (f,), h, target)
+        q, p = _run_flows(q, p, _lower((f,), h), target)
     return PhaseState(q, p)
 
 
@@ -444,3 +471,134 @@ class TestIntegrateLeg:
             integrate_leg(s0, 0.1, 0, integ, tgt)
         with pytest.raises(ValueError):
             integrate_leg(s0, -0.1, 3, integ, tgt)
+
+
+def same_bytes(a_q, a_p, b_q, b_p):
+    return a_q.tobytes() == b_q.tobytes() and a_p.tobytes() == b_p.tobytes()
+
+
+# kicks of equal lowered form recur in this pool, so that random schedules
+# hit the reuse rule, zero drifts between kicks and the cases it must refuse
+flow_pool = st.sampled_from(
+    (
+        kick(0.3),
+        kick(-0.2),
+        modified_kick(0.3, 0.5, 0.0),
+        modified_kick(0.3, 0.5, 0.02),
+        modified_kick(0.3, 0.25, 0.02),
+        drift(0.0),
+        kick(0.0),
+        drift(0.4),
+        drift(-0.1),
+    )
+)
+
+
+class TestLoweredExecutor:
+    """The in-place executor against the allocating one it replaced
+    (tests/flow_oracle.py): identical q and p bytes, identical counts."""
+
+    @pytest.mark.parametrize("make_target", [lambda: gaussian_model(64), lambda: anharmonic_model(16)],
+                             ids=["gaussian64", "anharmonic16"])
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_named_legs_match_the_allocating_executor(self, name, make_target):
+        integ = named_integrator(name)
+        dim = make_target().dim
+        rng = np.random.default_rng(20261018)
+        s0 = PhaseState(rng.standard_normal(dim) * 0.5, rng.standard_normal(dim))
+        for n_steps in sorted({1 + integ.folded, 2, 7, 50}):
+            new_tgt, old_tgt = make_target(), make_target()
+            new = integrate_leg(s0, 0.02, n_steps, integ, new_tgt)
+            old = allocating_leg(s0, 0.02, n_steps, integ, old_tgt)
+            assert same_bytes(new.q, new.p, old.q, old.p), (name, n_steps)
+            assert (new_tgt.grad_evals, new_tgt.hess_evals) == (old_tgt.grad_evals, old_tgt.hess_evals)
+
+    @pytest.mark.parametrize(
+        "flows",
+        [
+            (kick(0.3), kick(0.3)),  # reused
+            (kick(0.3), drift(0.0), kick(0.3)),  # the zero drift is dropped: reused
+            (kick(0.3), drift(0.4), kick(0.3)),  # q moved: not reused
+            (modified_kick(0.3, 0.5, 0.0), kick(0.3)),  # equal coefficients, other b_mod: not reused
+            (kick(0.3), modified_kick(0.3, 0.5, 0.0), kick(0.3)),
+            (modified_kick(0.3, 0.5, 0.02), modified_kick(0.3, 0.5, 0.02)),  # reused, product cached
+            (modified_kick(0.3, 0.5, 0.02), drift(0.4), modified_kick(0.3, 0.5, 0.02)),
+            (modified_kick(0.3, 0.5, 0.02), modified_kick(0.3, 0.5, 0.03)),  # other c_mod: not reused
+        ],
+        ids=["equal", "zero-drift", "drift", "b_mod", "b_mod-between", "modified", "modified-drift", "c_mod"],
+    )
+    def test_hand_built_schedules_match_the_allocating_executor(self, flows):
+        q0, p0 = np.array([0.4, -0.9, 1.3]), np.array([0.2, 0.7, -0.5])
+        for h in (0.1, 0.7):
+            new_tgt, old_tgt = anharmonic_model(3), anharmonic_model(3)
+            new = _run_flows(q0, p0, _lower(flows, h), new_tgt)
+            old = allocating_run_flows(q0, p0, flows, h, old_tgt)
+            assert same_bytes(*new, *old)
+            assert (new_tgt.grad_evals, new_tgt.hess_evals) == (old_tgt.grad_evals, old_tgt.hess_evals)
+
+    @given(st.lists(flow_pool, max_size=12), st.floats(min_value=0.01, max_value=0.5))
+    def test_random_schedules_match_the_allocating_executor(self, flows, h):
+        q0, p0 = np.array([0.4, -0.9, 1.3]), np.array([0.2, 0.7, -0.5])
+        new_tgt, old_tgt = anharmonic_model(3), anharmonic_model(3)
+        new = _run_flows(q0, p0, _lower(flows, h), new_tgt)
+        old = allocating_run_flows(q0, p0, flows, h, old_tgt)
+        assert same_bytes(*new, *old)
+        assert (new_tgt.grad_evals, new_tgt.hess_evals) == (old_tgt.grad_evals, old_tgt.hess_evals)
+
+    def test_zero_flows_lower_to_nothing(self):
+        assert _lower((kick(0.0), drift(0.0), modified_kick(0.0, 0.5, 0.1)), 0.3) == ()
+        assert _lower(named_integrator("blcasa").pre, 0.3) == ()
+        assert _lower(named_integrator("leapfrog").kernel, 0.5) == (
+            (False, 0.25, 1.0, None), (True, 0.5, 1.0, None), (False, 0.25, 1.0, None)
+        )
+
+
+class AliasingTarget(TargetModel):
+    """V = |q|^2/2, whose gradient hook hands back q itself and whose
+    Hessian-vector hook hands back v itself when alias is set."""
+
+    def __init__(self, dim, alias):
+        super().__init__(dim)
+        self.alias = alias
+
+    def _gradient(self, q):
+        return q if self.alias else q.copy()
+
+    def _hessian_vec(self, q, v):
+        return v if self.alias else v.copy()
+
+
+class TestValueSemantics:
+    """The executor moves its own copies in place, never its inputs."""
+
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_inputs_unchanged_and_outputs_fresh(self, name):
+        q0, p0 = np.array([0.3, -0.6, 0.1]), np.array([0.5, 0.1, -0.2])
+        q0.setflags(write=False)
+        p0.setflags(write=False)
+        keep_q, keep_p = q0.tobytes(), p0.tobytes()
+        s0 = PhaseState(q0, p0)
+        out = integrate_leg(s0, 0.1, 5, named_integrator(name), anharmonic_model(3))
+        assert q0.tobytes() == keep_q and p0.tobytes() == keep_p
+        assert not np.shares_memory(out.q, q0) and not np.shares_memory(out.p, p0)
+        assert not np.shares_memory(out.q, out.p)
+
+    @pytest.mark.parametrize("flows", [(kick(0.0),), (drift(0.0), kick(0.0)), named_integrator("blcasa").pre.flows])
+    def test_all_skipped_flows_still_return_new_arrays(self, flows):
+        q0, p0 = np.array([1.0, 2.0]), np.array([0.3, 0.4])
+        q0.setflags(write=False)
+        q, p = _run_flows(q0, p0, _lower(flows, 0.1), gaussian_model(2))
+        assert np.array_equal(q, q0) and np.array_equal(p, p0)
+        for out in (q, p):
+            assert not np.shares_memory(out, q0) and not np.shares_memory(out, p0)
+        assert not np.shares_memory(q, p)
+
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_gradient_returning_its_argument(self, name):
+        # a target whose gradient (and Hessian-vector product) is the array
+        # it was handed gives the same bytes as one that returns copies
+        s0 = PhaseState(np.array([0.3, -0.6, 0.1]), np.array([0.5, 0.1, -0.2]))
+        integ = named_integrator(name)
+        aliased = integrate_leg(s0, 0.1, 6, integ, AliasingTarget(3, alias=True))
+        copied = integrate_leg(s0, 0.1, 6, integ, AliasingTarget(3, alias=False))
+        assert same_bytes(aliased.q, aliased.p, copied.q, copied.p)
