@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
@@ -68,7 +69,8 @@ def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> Tran
             m11 = m11 + c * m21
             m12 = m12 + c * m22
             continue
-        c = c * (f.b_mod - 2.0 * f.c_mod * h * h)
+        if f.c_mod != 0.0 or f.b_mod != 1.0:  # a plain kick's factor 1 - 0*h*h is 1 at finite h
+            c = c * (f.b_mod - 2.0 * f.c_mod * h * h)
         m21 = m21 - c * m11
         m22 = m22 - c * m12
     return TransferMatrix(m11, m12, m21, m22)
@@ -121,23 +123,30 @@ def stability_length(kernel: FlowSchedule) -> float:
     return 0.5 * (lo + hi)
 
 
-def rho(integ: ProcessedIntegrator, h: float) -> float:
+def rho(integ: ProcessedIntegrator, h: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """N-independent upper bound on the expected leg energy error at step h.
 
-    Returns +inf when the kernel is unstable at h, so the tuner's objective
-    stays totally ordered.  A subnormal h is a ValueError: the maps' entries
-    lose their precision there, while the true value underflows to 0.
+    A float for a scalar h, the same bits elementwise for an array; +inf where
+    the kernel is unstable or the value overflows to NaN, so the tuner's
+    objective stays totally ordered.  A subnormal step is a ValueError naming
+    the first: the maps lose their precision there; the true value underflows.
     """
-    if 0.0 < h < sys.float_info.min:
-        raise ValueError(f"h={h} is subnormal: rho is not resolved below {sys.float_info.min}")
-    _, k12, k21, _ = schedule_matrix(integ.kernel, h)
-    if not _is_stable(k12, k21):
-        return math.inf
-    chi = math.sqrt(k12 / -k21)
-    alpha, beta, gamma, delta = schedule_matrix(integ.pre, h)
-    cross = alpha * gamma + beta * delta
-    spread = (delta * delta + gamma * gamma) * chi - (alpha * alpha + beta * beta) / chi
-    return 2.0 * cross * cross + 0.5 * spread * spread
+    array, tiny = isinstance(h, np.ndarray), sys.float_info.min
+    subnormal = h[(0.0 < h) & (h < tiny)] if array else [h] if 0.0 < h < tiny else []
+    if len(subnormal):
+        raise ValueError(f"h={float(subnormal[0])} is subnormal: rho is not resolved below {tiny}")
+    with np.errstate(all="ignore") if array else nullcontext():
+        _, k12, k21, _ = schedule_matrix(integ.kernel, h)
+        if not (array or _is_stable(k12, k21)):
+            return math.inf
+        chi = (np.sqrt if array else math.sqrt)(k12 / -k21)
+        alpha, beta, gamma, delta = schedule_matrix(integ.pre, h)
+        cross = alpha * gamma + beta * delta
+        spread = (delta * delta + gamma * gamma) * chi - (alpha * alpha + beta * beta) / chi
+        value = 2.0 * cross * cross + 0.5 * spread * spread
+    if array:
+        return np.where(_is_stable(k12, k21) & (value == value), value, math.inf)
+    return value if value == value else math.inf
 
 
 def _series_matrix(schedule: FlowSchedule) -> np.ndarray:
@@ -165,9 +174,10 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
     and N = 4 cross^2 D + S^2 are polynomials in h.  Both N and D are even
     and vanish at h = 0, so n = N / s and d = D / s are polynomials in
     s = h^2, and rho peaks at hbar or at a root of n'd - nd' in (0, hbar^2).
-    rho() is evaluated at the real part of every such root: extra points
-    cannot raise the maximum past the true one.  All three values are +inf
-    if the kernel loses stability inside (0, hbar].
+    One rho call covers hbar, every such root and a probe between each pair
+    of real roots of d: extra points cannot raise the maximum past the true
+    one.  All three values are +inf if rho is +inf at hbar or a probe (the
+    kernel is unstable inside (0, hbar]) or if n or d overflows.
     """
     if not (hbar > 0.0 and math.isfinite(hbar)):
         raise ValueError("hbar must be positive and finite")
@@ -175,18 +185,20 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
     if s_max == 0.0:
         raise ValueError(f"hbar={hbar} is too small: hbar^2 underflows to 0")
     unstable = (math.inf, math.inf, math.inf)
-    at_hbar = rho(integ, hbar)
-    if at_hbar == math.inf:
+    if not _is_stable(*schedule_matrix(integ.kernel, hbar)[1:3]):
         return unstable
     mul = np.convolve
-    _, k12, k21, _ = _series_matrix(integ.kernel)
-    alpha, beta, gamma, delta = _series_matrix(integ.pre)
-    big_d = -mul(k12, k21)
-    cross = mul(alpha, gamma) + mul(beta, delta)
-    big_s = mul(mul(delta, delta) + mul(gamma, gamma), k12) + mul(mul(alpha, alpha) + mul(beta, beta), k21)
-    # ascending coefficients in s; np.roots takes them highest power first
-    n = (4.0 * mul(mul(cross, cross), big_d) + mul(big_s, big_s))[2::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, k12, k21, _ = _series_matrix(integ.kernel)
+        alpha, beta, gamma, delta = _series_matrix(integ.pre)
+        big_d = -mul(k12, k21)
+        cross = mul(alpha, gamma) + mul(beta, delta)
+        big_s = mul(mul(delta, delta) + mul(gamma, gamma), k12) + mul(mul(alpha, alpha) + mul(beta, beta), k21)
+        # ascending coefficients in s; np.roots takes them highest power first
+        n = (4.0 * mul(mul(cross, cross), big_d) + mul(big_s, big_s))[2::2]
     d = big_d[2::2]
+    if not (np.isfinite(n).all() and np.isfinite(d).all()):
+        return unstable
     dn, dd = n[1:] * np.arange(1, len(n)), d[1:] * np.arange(1, len(d))
 
     # Stability changes only where d changes sign, at a real root.  Probe each
@@ -196,12 +208,12 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
     roots = np.sort(roots.real[(roots.imag == 0.0) & (roots.real > 0.0) & (roots.real < s_max)])
     edges = np.concatenate(([0.0], roots, [s_max]))
     probes = np.sqrt(edges[:-1] + np.diff(edges) / 3.0)
-    if not _is_stable(*schedule_matrix(integ.kernel, probes)[1:3]).all():
-        return unstable
-
     critical = np.roots((mul(dn, d) - mul(n, dd))[::-1]).real
-    critical = critical[(critical > 0.0) & (critical < s_max)]
-    interior = max((rho(integ, math.sqrt(x)) for x in critical), default=-math.inf)
+    critical = np.sqrt(critical[(critical > 0.0) & (critical < s_max)])
+    values = rho(integ, np.concatenate(([hbar], probes, critical)))
+    if values[: len(probes) + 1].max() == math.inf:
+        return unstable
+    at_hbar, interior = float(values[0]), float(values[len(probes) + 1 :].max(initial=-math.inf))
     return max(at_hbar, interior), at_hbar, interior
 
 

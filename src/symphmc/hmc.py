@@ -29,12 +29,16 @@ import numpy as np
 
 from .errors import InsufficientSteps, NonFiniteState
 from .harmonic import schedule_matrix
-from .splitting import PhaseState, ProcessedIntegrator, integrate_leg, leg_gradient_count
+from .splitting import PhaseState, ProcessedIntegrator, integrate_leg, leg_gradient_count, whole
 from .targets import GaussianModel, TargetModel
 
 
 @dataclass(frozen=True)
 class HmcConfig:
+    """One chain's settings, checked before any chain runs: h and leg_time
+    positive and finite, n_samples >= 1 and seed >= 0 integers (a float or a
+    bool is a TypeError), and h must round the leg to enough steps."""
+
     h: float
     n_samples: int
     seed: int
@@ -46,8 +50,8 @@ class HmcConfig:
             raise ValueError("h must be positive and finite")
         if not (self.leg_time > 0.0 and math.isfinite(self.leg_time)):
             raise ValueError("leg_time must be positive and finite")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        whole(self.n_samples, "n_samples", 1)
+        whole(self.seed, "seed", 0)
         try:
             self.integrator.kernel_steps(self.n_steps)
         except InsufficientSteps as exc:
@@ -211,6 +215,7 @@ def efficiency_curve(
     bit-identical for any worker count because every chain owns its stream.
     Chains keep no positions, so each holds O(d + n) memory.
     """
+    seed = whole(seed, "seed", 0)  # checked before `seed ^ i` turns a bool into an int
     jobs = [(target, HmcConfig(float(h), n_samples, seed ^ i, integrator, leg_time)) for i, h in enumerate(h_list)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:

@@ -41,6 +41,17 @@ if TYPE_CHECKING:
 CONSISTENCY_TOL = 1e-14
 
 
+def whole(value, what: str, minimum: int, short: type = ValueError) -> int:
+    """The count `value` as an int.  Integers pass, numpy integers too;
+    anything else, a float or a bool included, is a TypeError, and a value
+    below `minimum` raises `short`, a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what}={value!r} is not an integer")
+    if value < minimum:
+        raise short(f"{what} must be at least {minimum}, not {value!r}")
+    return int(value)
+
+
 class FlowKind(Enum):
     DRIFT = "drift"
     KICK = "kick"
@@ -145,8 +156,10 @@ class FlowSchedule:
 class ProcessedIntegrator:
     """Kernel plus preprocessor; the postprocessor is the preprocessor's adjoint.
 
-    The preprocessor's drift and kick-weight sums are both 0 (a pure
-    processor) or both 1: one kernel step is folded into it, as in
+    The kernel is palindromic, with drift and kick-weight sums of 1: the
+    leg's reversibility and the oscillator analysis's sign test rest on its
+    symmetry.  The preprocessor's sums are both 0 (a pure processor) or
+    both 1: one kernel step is folded into it, as in
     kappa = kernel . processor.  A leg of N steps then runs the kernel
     N - 2*folded times and always spans N*h.
     """
@@ -155,6 +168,8 @@ class ProcessedIntegrator:
     pre: FlowSchedule
 
     def __post_init__(self) -> None:
+        if not self.kernel.is_palindromic():
+            raise ValueError("the kernel must be palindromic")
         if abs(self.kernel.drift_sum() - 1.0) > CONSISTENCY_TOL:
             raise ValueError("kernel drift coefficients must sum to 1")
         if abs(self.kernel.kick_weight_sum() - 1.0) > CONSISTENCY_TOL:
@@ -177,11 +192,7 @@ class ProcessedIntegrator:
     def kernel_steps(self, n_steps: int) -> int:
         """Kernel steps in a leg of N steps: N - 2*folded.  N is an integer
         (numpy integers too), never a float or a bool."""
-        if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
-            raise TypeError(f"the number of steps N={n_steps!r} is not an integer")
-        if n_steps < 1 + self.folded:
-            raise InsufficientSteps(f"a leg of this integrator needs N >= {1 + self.folded} steps")
-        return n_steps - 2 * self.folded
+        return whole(n_steps, "the number of steps N", 1 + self.folded, InsufficientSteps) - 2 * self.folded
 
 
 def build_kernel(b: float) -> FlowSchedule:

@@ -11,14 +11,16 @@ import math
 
 import numpy as np
 
-from .splitting import PhaseState
+from .splitting import PhaseState, whole
 
 
 class TargetModel:
     """Base class for targets proportional to exp(-V(q)).
 
-    The mass matrix is the identity: the momentum refresh draws from
-    N(0, I) and the kinetic energy is p^T p / 2.
+    The dimension is an integer >= 1, numpy integers included; a float or a
+    bool is a TypeError, never truncated.  The mass matrix is the identity:
+    the momentum refresh draws from N(0, I) and the kinetic energy is
+    p^T p / 2.
 
     Subclasses implement ``_potential`` and ``_gradient`` and may override
     ``_hessian_vec`` (the default is a central finite difference of the
@@ -31,9 +33,7 @@ class TargetModel:
     """
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dim = int(dim)
+        self.dim = whole(dim, "dimension", 1)
         self.grad_evals = 0
         self.hess_evals = 0
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -252,6 +253,13 @@ class TestRhoScan:
         assert len(err) == 1 and err[0].startswith("error: h=")
         assert "is subnormal" in err[0]
 
+    def test_unstable_steps_read_inf(self, capsys):
+        # leapfrog is unstable from h = 2: the last 11 of 30 steps up to 3
+        assert run_cli(["rho-scan", "--integrator", "leapfrog", "--h", "3", "--h-grid", "30"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 31 and sum(line.endswith(",inf") for line in lines) == 11
+        assert all(line.endswith(",inf") for line in lines[20:])
+
     def test_explicit_budget(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run_cli(["rho-scan", "--integrator", "leapfrog", "--h", "1.5",
@@ -280,6 +288,17 @@ class TestTune:
         code = run_cli(["tune", "--integrator", "proc-3.0", "--h", "1000"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_overflowing_init_is_no_descent(self, tmp_path, capsys):
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({"init": [0.348674, 1e100, 1e100]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["tune", "--config", str(cfg), "--h", "3.0"]) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: objective is not finite at (0.348674, 1e+100, 1e+100) for hbar=3.0\n"
 
     def test_rounding_noise_budget_is_a_usage_error(self, capsys):
         # tuned rho_norm 1.9e-34 at hbar = 1e-4, below eps^2 ~ 4.9e-32

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from symphmc.harmonic import _is_stable, _rho_profile, _series_matrix
 from symphmc.splitting import processed_family
 
 from oscillator_oracle import UnstableStep, expected_energy_error, leg_matrix, sandwich, spectrum
+from rho_oracle import scalar_profile, scalar_rho
 
 VERLET = named_integrator("leapfrog")
 ROW2 = named_integrator("proc-3.0")
@@ -358,3 +360,93 @@ class TestRhoNorm:
         # here as a regression value (verified against 50-digit arithmetic)
         value = rho_norm(named_integrator("blcasa"), 3.0)
         assert math.isclose(value, 7.420004184501961e-05, rel_tol=1e-12)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestArrayRho:
+    # steps from near 0 to well past every kernel's stability length, plus
+    # extremes where k12*k21 underflows or the maps overflow
+    STEPS = np.concatenate((np.linspace(1e-3, 8.0, 4001), [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300]))
+
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_array_is_the_scalar_loop_bit_for_bit(self, name):
+        integ = named_integrator(name)
+        values = rho(integ, self.STEPS)
+        assert isinstance(values, np.ndarray) and values.shape == self.STEPS.shape
+        assert hexes(values) == hexes(rho(integ, float(h)) for h in self.STEPS)
+        assert np.isinf(values).any() and np.isfinite(values).any()  # unstable steps are covered
+        # where the old scalar arithmetic stays finite, it gives the same bits
+        finite = self.STEPS < 1e100
+        assert hexes(values[finite]) == hexes(scalar_rho(integ, float(h)) for h in self.STEPS[finite])
+
+    @pytest.mark.parametrize("h", [1.0, 2.5, 1e-200])
+    def test_scalar_step_gives_a_python_float(self, h):
+        assert type(rho(VERLET, h)) is float
+        assert type(rho(ROW2, h)) is float
+
+    def test_subnormal_error_names_the_first_subnormal_step(self):
+        with pytest.raises(ValueError, match=r"^h=1e-320 is subnormal"):
+            rho(ROW2, np.array([1.0, 0.0, 1e-320, 1e-323]))
+
+    def test_array_warns_nothing(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = rho(ROW2, np.linspace(2e199, 1e200, 5))
+            rho(named_integrator("rowlands"), np.array([0.0, -1.0, 1e300, math.inf]))
+        assert caught == [] and (values == math.inf).all()
+
+
+def _rows_nearby(count, seed):
+    """(b, c, d, hbar) scattered around the reference rows and budgets."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        row = REFERENCE_ROWS[i % len(REFERENCE_ROWS)]
+        b = row.b + rng.normal(0.0, 0.01)
+        c, d = row.c + rng.normal(0.0, 0.02), row.d + rng.normal(0.0, 0.02)
+        yield b, c, d, float(rng.uniform(0.3, 5.0))
+
+
+class TestProfileMatchesScalarOracle:
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_named_integrators(self, name):
+        integ = named_integrator(name)
+        h_s = stability_length(integ.kernel)
+        # below 1.5e-154 hbar^2 is subnormal and its root is not hbar, while
+        # rho's rounding noise (~1e-32) there depends on the step's last bits
+        tiny = [1e-160, 1e-158, 1e-157]
+        budgets = tiny + [0.5, 1.0, 1.58274, 2.0, 3.0, 3.5, 4.0, 4.5, 5.0, 6.2, 0.999 * h_s, 1.001 * h_s, 8.0]
+        for hbar in budgets:
+            assert hexes(_rho_profile(integ, hbar)) == hexes(scalar_profile(integ, hbar)), hbar
+        assert any(math.isinf(_rho_profile(integ, hbar)[0]) for hbar in budgets)
+
+    def test_random_members_near_the_rows(self):
+        finite = 0
+        for b, c, d, hbar in _rows_nearby(400, seed=15):
+            integ = processed_family(b, c, d)
+            got = _rho_profile(integ, hbar)
+            assert hexes(got) == hexes(scalar_profile(integ, hbar)), (b, c, d, hbar)
+            finite += math.isfinite(got[0])
+        assert 300 <= finite < 400  # stable and unstable members both occur
+
+
+class TestOverflow:
+    # (c, d) this large overflows the processor's maps and the products
+    # building n and d; the tuner's objective must still read +inf
+    @pytest.mark.parametrize("cd", [1e60, 1e100])
+    def test_rho_reads_inf_not_nan(self, cd):
+        integ = processed_family(0.348674, cd, cd)
+        assert rho(integ, 3.0) == math.inf
+        assert (rho(integ, np.array([0.5, 3.0])) == math.inf).all()
+
+    @pytest.mark.parametrize("b", [0.348674, 1.0 / 6.0 + 1e-8, 0.2, 0.25])
+    def test_profile_is_inf_and_silent(self, b):
+        integ = processed_family(b, 1e100, 1e100)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for hbar in (0.5, 3.0):
+                assert _rho_profile(integ, hbar) == (math.inf, math.inf, math.inf)
+                assert rho_norm(integ, hbar) == math.inf
+        assert caught == []

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,20 @@ class TestConfig:
             HmcConfig(h=0.1, n_samples=0, seed=0, integrator=ROW2)
         with pytest.raises(ValueError):
             HmcConfig(h=0.1, n_samples=1, seed=0, integrator=ROW2, leg_time=0.0)
+
+    @pytest.mark.parametrize("field, value", [("n_samples", 2.5), ("n_samples", True), ("n_samples", 5.0),
+                                              ("seed", 1.5), ("seed", True), ("seed", "1")])
+    def test_counts_must_be_integers(self, field, value):
+        kwargs = {"h": 0.1, "n_samples": 5, "seed": 1, "integrator": ROW2, field: value}
+        with pytest.raises(TypeError, match=re.escape(f"{field}={value!r} is not an integer")):
+            HmcConfig(**kwargs)
+
+    def test_counts_below_their_minimum(self):
+        with pytest.raises(ValueError, match="n_samples must be at least 1, not 0"):
+            HmcConfig(0.1, 0, 1, ROW2)
+        with pytest.raises(ValueError, match="seed must be at least 0, not -1"):
+            HmcConfig(0.1, 5, -1, ROW2)
+        assert HmcConfig(0.1, np.int64(5), np.uint32(0), ROW2).n_samples == 5
 
     def test_too_few_steps_for_a_folded_integrator(self):
         # rowlands folds a kernel step into each processor, so a leg needs N >= 2
@@ -202,6 +217,16 @@ class TestEfficiencyCurve:
         points = efficiency_curve(tgt, h_list, ROW2, n_samples=150, seed=1000, leg_time=5.0)
         assert [pt.seed for pt in points] == [1000 ^ 0, 1000 ^ 1, 1000 ^ 2]
         # the best-point check is TestSweep::test_best_line_names_the_best_row in test_cli.py
+
+    def test_bad_counts_fail_before_any_chain(self):
+        # every config is built first, so a bad count never reaches a chain
+        with pytest.raises(TypeError, match="n_samples=2.5 is not an integer"):
+            efficiency_curve(gaussian_model(4), [0.1, 0.2], ROW2, 2.5, 1)
+        with pytest.raises(ValueError, match="seed must be at least 0, not -1"):
+            efficiency_curve(gaussian_model(4), [0.1, 0.2], ROW2, 5, -1)
+        for seed in (True, 1.0):  # seed ^ i would make True an int and fail on 1.0
+            with pytest.raises(TypeError, match=f"seed={seed!r} is not an integer"):
+                efficiency_curve(gaussian_model(4), [0.1, 0.2], ROW2, 5, seed)
 
     def test_empty_h_list(self):
         assert efficiency_curve(gaussian_model(4), [], ROW2, n_samples=10, seed=0) == []

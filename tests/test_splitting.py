@@ -9,6 +9,7 @@ from symphmc import (
     FlowKind,
     FlowSchedule,
     HmcConfig,
+    InsufficientSteps,
     NonFiniteState,
     PhaseState,
     ProcessedIntegrator,
@@ -201,6 +202,15 @@ class TestProcessedIntegrator:
         with pytest.raises(ValueError):
             ProcessedIntegrator(broken, FlowSchedule())
 
+    def test_non_palindromic_kernel_rejected(self):
+        # symplectic Euler has consistent sums but no time symmetry: at h=2.5
+        # its map has trace -4.25 (unstable) while the sign test reads it
+        # stable, and a flipped leg does not return to its start
+        with pytest.raises(ValueError, match="palindromic"):
+            ProcessedIntegrator(FlowSchedule((kick(1.0), drift(1.0))), FlowSchedule())
+        with pytest.raises(ValueError, match="palindromic"):
+            ProcessedIntegrator(FlowSchedule((kick(0.25), drift(1.0), kick(0.75))), FlowSchedule())
+
     def test_bad_processor_sums_rejected(self):
         kernel = build_kernel(0.348674)
         with pytest.raises(ValueError):
@@ -248,6 +258,11 @@ class TestProcessedIntegrator:
         with pytest.raises(TypeError, match=message):
             integrate_leg(PhaseState(np.ones(2), np.ones(2)), 0.1, n_steps, integ, tgt)
         assert tgt.grad_evals == 0
+
+    @pytest.mark.parametrize("n_steps", [0, 1, np.int64(1), -3])
+    def test_too_few_steps_name_the_minimum(self, n_steps):
+        with pytest.raises(InsufficientSteps, match="at least 2"):
+            named_integrator("rowlands").kernel_steps(n_steps)
 
     @pytest.mark.parametrize("n_steps", [np.int64(10), np.int32(10), np.uint8(10)])
     def test_numpy_integer_step_count_is_accepted(self, n_steps):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,3 +140,14 @@ class TestCounters:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             gaussian_model(0)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, np.float64(3.0), True, np.bool_(True), "2"])
+    @pytest.mark.parametrize("model", [gaussian_model, anharmonic_model])
+    def test_dimension_is_never_truncated(self, model, dim):
+        with pytest.raises(TypeError, match=re.escape(f"dimension={dim!r} is not an integer")):
+            model(dim)
+
+    @pytest.mark.parametrize("dim", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_dimension(self, dim):
+        model = gaussian_model(dim)
+        assert type(model.dim) is int and model.dim == 3 and model.frequencies.shape == (3,)

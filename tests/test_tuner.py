@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -57,6 +58,15 @@ class TestTune:
     def test_from_row5_seed_at_its_own_budget(self):
         result = tune(4.5, ROW5_SEED, restarts=0)
         assert result.rho_norm <= 5e-5
+
+    def test_no_descent_from_an_overflowing_seed(self):
+        # c = d = 1e100 overflows the polynomials: +inf, never NaN or a numpy error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert evaluate(0.348674, 1e100, 1e100, 3.0) == math.inf
+            with pytest.raises(NoDescent):
+                tune(3.0, (0.348674, 1e100, 1e100))
+        assert caught == []
 
     def test_no_descent_from_infinite_seed(self):
         with pytest.raises(NoDescent):
