@@ -266,10 +266,13 @@ def cmd_rho_scan(opts: dict) -> int:
     name = opts.get("integrator")
     if name is None:
         raise CliUsageError("rho-scan requires --integrator")
+    integ = catalog.named_integrator(name)
     h_max = _single_h(opts["h"]) if "h" in opts else catalog.scan_budget(name)
     hs = np.linspace(h_max / opts["h_grid"], h_max, opts["h_grid"])
-    rows = (f"{_fmt(h)},{_fmt(value)}\n" for h, value in zip(hs, rho(catalog.named_integrator(name), hs)))
-    _write_text(opts.get("out"), "h,rho\n" + "".join(rows))
+    lines = ["h,rho"]
+    for h, value in zip(hs, rho(integ, hs)):
+        lines.append(f"{_fmt(h)},{_fmt(value)}")
+    _write_text(opts.get("out"), "\n".join(lines) + "\n")
     return 0
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import nullcontext
 from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
@@ -126,27 +125,27 @@ def stability_length(kernel: FlowSchedule) -> float:
 def rho(integ: ProcessedIntegrator, h: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """N-independent upper bound on the expected leg energy error at step h.
 
-    A float for a scalar h, the same bits elementwise for an array; +inf where
-    the kernel is unstable or the value overflows to NaN, so the tuner's
-    objective stays totally ordered.  A subnormal step is a ValueError naming
-    the first: the maps lose their precision there; the true value underflows.
+    A float for a scalar h, elementwise values for an array of steps; +inf
+    where the kernel is unstable or the value overflows to NaN, so the
+    tuner's objective stays totally ordered.  A subnormal step is a
+    ValueError naming the first: the maps lose their precision there, while
+    the true value underflows.
     """
-    array, tiny = isinstance(h, np.ndarray), sys.float_info.min
-    subnormal = h[(0.0 < h) & (h < tiny)] if array else [h] if 0.0 < h < tiny else []
-    if len(subnormal):
+    hs, tiny = np.asarray(h, dtype=float), sys.float_info.min
+    subnormal = hs[(0.0 < hs) & (hs < tiny)]
+    if subnormal.size:
         raise ValueError(f"h={float(subnormal[0])} is subnormal: rho is not resolved below {tiny}")
-    with np.errstate(all="ignore") if array else nullcontext():
-        _, k12, k21, _ = schedule_matrix(integ.kernel, h)
-        if not (array or _is_stable(k12, k21)):
-            return math.inf
-        chi = (np.sqrt if array else math.sqrt)(k12 / -k21)
-        alpha, beta, gamma, delta = schedule_matrix(integ.pre, h)
+    with np.errstate(all="ignore"):
+        _, k12, k21, _ = schedule_matrix(integ.kernel, hs)
+        chi = np.sqrt(k12 / -k21)
+        alpha, beta, gamma, delta = schedule_matrix(integ.pre, hs)
         cross = alpha * gamma + beta * delta
         spread = (delta * delta + gamma * gamma) * chi - (alpha * alpha + beta * beta) / chi
         value = 2.0 * cross * cross + 0.5 * spread * spread
-    if array:
-        return np.where(_is_stable(k12, k21) & (value == value), value, math.inf)
-    return value if value == value else math.inf
+    # Where the kernel is unstable, k12 and k21 are 0 or share a sign, so
+    # k12 / -k21 is negative, +-0, +-inf or NaN and value is NaN or +inf.
+    value = np.where(value == value, value, math.inf)
+    return value if isinstance(h, np.ndarray) else float(value)
 
 
 def _series_matrix(schedule: FlowSchedule) -> np.ndarray:
@@ -177,7 +176,7 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
     One rho call covers hbar, every such root and a probe between each pair
     of real roots of d: extra points cannot raise the maximum past the true
     one.  All three values are +inf if rho is +inf at hbar or a probe (the
-    kernel is unstable inside (0, hbar]) or if n or d overflows.
+    kernel is unstable inside (0, hbar]) or if n, d or n'd - nd' overflows.
     """
     if not (hbar > 0.0 and math.isfinite(hbar)):
         raise ValueError("hbar must be positive and finite")
@@ -196,10 +195,11 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
         big_s = mul(mul(delta, delta) + mul(gamma, gamma), k12) + mul(mul(alpha, alpha) + mul(beta, beta), k21)
         # ascending coefficients in s; np.roots takes them highest power first
         n = (4.0 * mul(mul(cross, cross), big_d) + mul(big_s, big_s))[2::2]
-    d = big_d[2::2]
-    if not (np.isfinite(n).all() and np.isfinite(d).all()):
+        d = big_d[2::2]
+        dn, dd = n[1:] * np.arange(1, len(n)), d[1:] * np.arange(1, len(d))
+        slope = mul(dn, d) - mul(n, dd)  # n'd - nd'; an inf or NaN in n or d carries into it
+    if not np.isfinite(slope).all():
         return unstable
-    dn, dd = n[1:] * np.arange(1, len(n)), d[1:] * np.arange(1, len(d))
 
     # Stability changes only where d changes sign, at a real root.  Probe each
     # stretch between roots a third of the way in: a double root where the
@@ -208,7 +208,7 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
     roots = np.sort(roots.real[(roots.imag == 0.0) & (roots.real > 0.0) & (roots.real < s_max)])
     edges = np.concatenate(([0.0], roots, [s_max]))
     probes = np.sqrt(edges[:-1] + np.diff(edges) / 3.0)
-    critical = np.roots((mul(dn, d) - mul(n, dd))[::-1]).real
+    critical = np.roots(slope[::-1]).real
     critical = np.sqrt(critical[(critical > 0.0) & (critical < s_max)])
     values = rho(integ, np.concatenate(([hbar], probes, critical)))
     if values[: len(probes) + 1].max() == math.inf:

@@ -289,16 +289,17 @@ class TestTune:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_overflowing_init_is_no_descent(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cd", [1.778e19, 1e100])
+    def test_overflowing_init_is_no_descent(self, tmp_path, capsys, cd):
         cfg = tmp_path / "t.json"
-        cfg.write_text(json.dumps({"init": [0.348674, 1e100, 1e100]}))
+        cfg.write_text(json.dumps({"init": [0.348674, cd, cd]}))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run_cli(["tune", "--config", str(cfg), "--h", "3.0"]) == 1
         assert caught == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: objective is not finite at (0.348674, 1e+100, 1e+100) for hbar=3.0\n"
+        assert captured.err == f"error: objective is not finite at (0.348674, {cd!r}, {cd!r}) for hbar=3.0\n"
 
     def test_rounding_noise_budget_is_a_usage_error(self, capsys):
         # tuned rho_norm 1.9e-34 at hbar = 1e-4, below eps^2 ~ 4.9e-32

@@ -441,9 +441,11 @@ class TestOverflow:
         assert rho(integ, 3.0) == math.inf
         assert (rho(integ, np.array([0.5, 3.0])) == math.inf).all()
 
+    # at c = d = 1.778e19 (b = 0.348674) n is still finite, and n' and n'd - nd' overflow
+    @pytest.mark.parametrize("cd", [1.778e19, 1e100])
     @pytest.mark.parametrize("b", [0.348674, 1.0 / 6.0 + 1e-8, 0.2, 0.25])
-    def test_profile_is_inf_and_silent(self, b):
-        integ = processed_family(b, 1e100, 1e100)
+    def test_profile_is_inf_and_silent(self, b, cd):
+        integ = processed_family(b, cd, cd)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for hbar in (0.5, 3.0):
