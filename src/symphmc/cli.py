@@ -159,7 +159,8 @@ def _workers(n_jobs: int) -> int:
         cap = n_jobs if cap is None else int(cap)
     except ValueError as exc:
         raise CliUsageError(f"SYMPHMC_THREADS must be an integer, got {cap!r}") from exc
-    return max(1, min(os.cpu_count() or 1, n_jobs, cap))
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(usable, n_jobs, cap))
 
 
 def _write_text(out: Optional[str], text: str) -> None:

@@ -17,11 +17,12 @@ chain's one record, also a sweep's row, is its ChainStats: the config, the
 accepted count, the energy errors and the evaluations used, each
 Hessian-vector product billed as one gradient; its rates derive from these.
 A sweep chain keeps no positions, so it holds O(d + n) memory, not O(n d).
+Only a sweep with more than one worker loads multiprocessing, for its process
+pool, whose size the CLI caps at the CPUs this process may run on.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -218,6 +219,7 @@ def efficiency_curve(
     seed = whole(seed, "seed", 0)  # checked before `seed ^ i` turns a bool into an int
     jobs = [(target, HmcConfig(float(h), n_samples, seed ^ i, integrator, leg_time)) for i, h in enumerate(h_list)]
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing only for a pool
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(_chain_stats, jobs))
     return [_chain_stats(job) for job in jobs]

@@ -1,13 +1,18 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from datetime import timedelta
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import symphmc
 from symphmc import HmcConfig, catalog, gaussian_model, hmc_run
-from symphmc.cli import SWEEP_CSV_HEADER, _fmt, main
+from symphmc.cli import SWEEP_CSV_HEADER, _fmt, _workers, main
 from symphmc.harmonic import rho
 from symphmc.catalog import named_integrator
 
@@ -174,6 +179,34 @@ class TestSweep:
         monkeypatch.setenv("SYMPHMC_THREADS", "3")
         assert run_cli(args + ["--out", str(pooled)]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
+
+    def test_pool_never_exceeds_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("SYMPHMC_THREADS")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _workers(12) == 1
+        # where the platform cannot report affinity, the CPU count caps it
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _workers(12) == 8
+        assert _workers(3) == 3
+
+    def test_single_process_runs_do_not_load_the_pool(self, tmp_path):
+        script = "\n".join([
+            "import sys",
+            "import symphmc",
+            "from symphmc import cli",
+            "assert cli.main(['stability']) == 0",
+            "assert cli.main(['sweep', '--integrator', 'proc-3.0', '--dim', '8', '--samples', '20',",
+            "                 '--h', '0.05,0.1', '--out', 'sweep.csv']) == 0",
+            "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)",
+            "assert not loaded, loaded",
+        ])
+        src = os.path.dirname(os.path.dirname(symphmc.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, SYMPHMC_THREADS="1", PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "sweep.csv").read_text().count("\n") == 3
 
 
     def test_best_line_names_the_best_row(self, tmp_path, capsys):
@@ -432,23 +465,46 @@ def test_overflowing_leg_time_is_usage_error(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-EDGE_TOKENS = ["0", "-1", "nan", "inf", "abc", "", "0.1,abc", "2.5"]
-# small valid values: no flag drawn from these can make a cheap command expensive
-VALID_TOKENS = ["1", "4", "0.1", "leapfrog", "proc-3.0", "rowlands"]
-CONFIG_VALUES = [8.9, "abc", True, None, [0.1, "x"], -1, 0, 2, "0.1,abc", [0.1, 0.2], "proc-3.0", {"a": 1}]
+# The exit-code probe.  Any flag may carry an edge token: a subnormal, an
+# underflowing and an overflowing float, non-finite and non-positive values,
+# a hex and an underscored spelling, non-numbers and the empty string.
+EDGE_TOKENS = ["5e-324", "1e-300", "1e400", "nan", "inf", "-1", "0", "0x10", "1_0", "2.5", "abc", "0.1,abc", ""]
+OUT_TOKENS = ["out.csv", "missing-dir/out.csv"]
+# Each command's flags with small valid values, so that no drawn call runs
+# long.  rowlands-order's --leg-time is drawn only up to 8 (so without the
+# edge token 1_0 = 10): its legs run leg_time/h flows, and a value such as
+# 1e8 has no bound on its work, though it breaks no contract.
+VALID_TOKENS = {
+    "table2": {"--out": OUT_TOKENS},
+    "stability": {"--integrator": ["leapfrog", "rowlands"], "--out": OUT_TOKENS},
+    "sweep": {
+        "--integrator": ["leapfrog", "proc-3.0", "rowlands"], "--dim": ["1", "4", "16"],
+        "--samples": ["1", "20"], "--h": ["0.05", "0.1,0.2", "3"], "--h-grid": ["1", "3"],
+        "--leg-time": ["1", "5"], "--seed": ["0", "7"], "--out": OUT_TOKENS,
+    },
+    "tune": {"--integrator": ["leapfrog", "proc-4.0", "proc-4.5"], "--h": ["3.0", "4.5"], "--out": OUT_TOKENS},
+    "rho-scan": {"--integrator": ["blcasa", "rowlands"], "--h": ["0.5", "3.0"], "--h-grid": ["1", "3"],
+                 "--out": OUT_TOKENS},
+    "rowlands-order": {"--h": ["0.1", "0.25", "0.5"], "--leg-time": ["1", "2", "8"]},
+}
+CONFIG_VALUES = [7.5, "abc", True, None, [0.1, "x"], -1, 0, 2, "0.1,abc", [0.1, 0.2], "proc-3.0", {"a": 1}]
 
 
 @st.composite
 def cheap_argv(draw):
-    command = draw(st.sampled_from(["table2", "stability", "rho-scan", "sweep"]))
+    command = draw(st.sampled_from(sorted(VALID_TOKENS)))
+    valid = VALID_TOKENS[command]
     argv = [command]
-    if command == "sweep":
-        argv += ["--integrator", "leapfrog", "--dim", str(draw(st.integers(1, 8))),
-                 "--samples", str(draw(st.integers(1, 5)))]
-    flags = st.sampled_from(DECLARED_FLAGS[command] + ALL_FLAGS)
-    values = st.sampled_from(EDGE_TOKENS + VALID_TOKENS)
-    for flag, value in draw(st.lists(st.tuples(flags, values), max_size=4)):
-        argv += [flag, value]
+    # a valid start: sweep's defaults, d = 1024 and 5000 samples, are not
+    # small, and these three commands require an integrator
+    for flag in {"sweep": ["--integrator", "--dim", "--samples"], "tune": ["--integrator"],
+                 "rho-scan": ["--integrator"]}.get(command, []):
+        argv += [flag, draw(st.sampled_from(valid[flag]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(valid)), max_size=4)):
+        edges = [token for token in EDGE_TOKENS if (command, flag, token) != ("rowlands-order", "--leg-time", "1_0")]
+        argv += [flag, draw(st.sampled_from(valid[flag]) | st.sampled_from(edges))]
+    if draw(st.integers(0, 9)) == 0:
+        argv += [draw(st.sampled_from(ALL_FLAGS)), "0"]  # declared by this command or not
     # each key the command declares, plus one it may not, present half the time
     keys = [flag[2:].replace("-", "_") for flag in DECLARED_FLAGS[command]] + ["dim"]
     value = st.sampled_from(CONFIG_VALUES)
@@ -456,7 +512,7 @@ def cheap_argv(draw):
     return argv, config
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=timedelta(seconds=3), suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cheap_argv())
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, case):
     argv, config = case
@@ -464,9 +520,11 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys, case):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", "cfg.json"]
-    try:
-        code = run_cli(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code in (0, 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
     assert "Traceback" not in capsys.readouterr().err
