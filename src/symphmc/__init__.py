@@ -20,7 +20,6 @@ from .splitting import (
     kick,
     leg_gradient_count,
     modified_kick,
-    momentum_flip,
     processed_family,
 )
 from .harmonic import (
@@ -36,7 +35,6 @@ from .targets import (
     TargetModel,
     anharmonic_model,
     gaussian_model,
-    oscillator_1d,
 )
 from .hmc import (
     ChainStats,

@@ -71,6 +71,16 @@ def _init(text: str) -> tuple[float, float, float]:
     return values
 
 
+def _out(text: str) -> str:
+    """A file in an existing, writable directory, checked before any work; creates nothing."""
+    folder = os.path.dirname(text) or "."
+    if not text or os.path.isdir(text):
+        raise ValueError("must name a file, not a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise ValueError(f"directory {folder!r} is missing or not writable")
+    return text
+
+
 def _integrator(text: str) -> str:
     if text not in catalog.INTEGRATOR_NAMES:
         raise ValueError(f"choose from {', '.join(catalog.INTEGRATOR_NAMES)}")
@@ -88,7 +98,7 @@ OPTIONS = {
     "leg_time": (_positive, "leg duration N*h"),
     "samples": (_whole(1), "chain length (default 5000 up to d=1024, else 1000)"),
     "seed": (_whole(0), "base seed; chain i uses seed ^ i"),
-    "out": (str, "output file (default stdout)"),
+    "out": (_out, "output file (default stdout)"),
     "init": (_init, None),
 }
 

@@ -34,9 +34,6 @@ class TransferMatrix(NamedTuple):
     m21: Any
     m22: Any
 
-    def det(self):
-        return self.m11 * self.m22 - self.m12 * self.m21
-
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
         return TransferMatrix(
             self.m11 * other.m11 + self.m12 * other.m21,

@@ -110,15 +110,6 @@ class PhaseState:
     def dim(self) -> int:
         return self.q.shape[0]
 
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.q).all() and np.isfinite(self.p).all())
-
-
-def momentum_flip(state: PhaseState) -> PhaseState:
-    """(q, p) -> (q, -p); involution used by the reversibility identity."""
-    return PhaseState(state.q, -state.p)
-
 
 @dataclass(frozen=True)
 class FlowSchedule:

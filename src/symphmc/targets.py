@@ -7,7 +7,6 @@ the gradient counter.
 from __future__ import annotations
 
 import copy
-import math
 
 import numpy as np
 
@@ -22,9 +21,9 @@ class TargetModel:
     the momentum refresh draws from N(0, I) and the kinetic energy is
     p^T p / 2.
 
-    Subclasses implement ``_potential`` and ``_gradient`` and may override
-    ``_hessian_vec`` (the default is a central finite difference of the
-    gradient).
+    Subclasses implement ``_potential`` and ``_gradient``.  Modified kicks
+    (the ``rowlands`` scheme) also need ``_hessian_vec``; the base hook
+    raises NotImplementedError, and drift/kick integrators never call it.
 
     The leg executor never writes into an array that ``gradient`` or
     ``hessian_vec`` returns, so a hook may return its argument itself.  It
@@ -66,17 +65,7 @@ class TargetModel:
         raise NotImplementedError
 
     def _hessian_vec(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # Central difference of the gradient with step sqrt(eps)*(1 + |q|_inf).
-        # Uses the raw gradient hook so the fallback does not inflate the
-        # user-visible gradient counter (a Hessian-vector product is billed
-        # as one hess_evals unit regardless of how it is obtained).
-        scale = float(np.max(np.abs(v))) if v.size else 0.0
-        if scale == 0.0 or not math.isfinite(scale):
-            return np.zeros_like(q)
-        u = v / scale
-        eps = math.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(q))))
-        diff = self._gradient(q + eps * u) - self._gradient(q - eps * u)
-        return scale * diff / (2.0 * eps)
+        raise NotImplementedError(f"{type(self).__name__} has no _hessian_vec, which modified kicks (rowlands) need")
 
 
 class GaussianModel(TargetModel):
@@ -128,11 +117,6 @@ class AnharmonicModel(TargetModel):
 
 def gaussian_model(dim: int) -> GaussianModel:
     return GaussianModel(dim)
-
-
-def oscillator_1d() -> GaussianModel:
-    """The one-dimensional model oscillator, V(q) = q^2/2."""
-    return GaussianModel(1)
 
 
 def anharmonic_model(dim: int) -> AnharmonicModel:

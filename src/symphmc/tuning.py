@@ -35,12 +35,6 @@ class TuneResult:
     rho_at_hbar: float
     interior_peak: float
 
-    @property
-    def interior_dominated(self) -> bool:
-        """No interior critical point of rho exceeds the value at hbar (to
-        1e-12), the shape the continuation procedure maintains."""
-        return self.interior_peak <= self.rho_at_hbar + 1e-12
-
 
 def evaluate(b: float, c: float, d: float, hbar: float) -> float:
     """rho_norm of the (b, c, d) family member; +inf when unstable inside

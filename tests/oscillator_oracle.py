@@ -27,6 +27,10 @@ class KernelSpectrum:
     stable: bool
 
 
+def det(m: TransferMatrix):
+    return m.m11 * m.m22 - m.m12 * m.m21
+
+
 def spectrum(m: TransferMatrix) -> KernelSpectrum:
     """Stability and (chi, theta) of a palindromic kernel matrix (m11 == m22).
 

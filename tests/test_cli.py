@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import symphmc
-from symphmc import HmcConfig, catalog, gaussian_model, hmc_run
-from symphmc.cli import SWEEP_CSV_HEADER, _fmt, _workers, main
+from symphmc import HmcConfig, catalog, cli, gaussian_model, hmc_run
+from symphmc.cli import COMMANDS, SWEEP_CSV_HEADER, _fmt, _workers, main
 from symphmc.harmonic import rho
 from symphmc.catalog import named_integrator
 
@@ -149,11 +149,22 @@ class TestSweep:
     def test_bad_h_token(self):
         assert run_cli(["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1,abc"]) == 2
 
-    def test_unwritable_output_reports_path(self, capsys):
-        code = run_cli(["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1", "--samples", "5",
-                        "--out", "/nonexistent-dir/x.csv"])
-        assert code == 2
-        assert "/nonexistent-dir/x.csv" in capsys.readouterr().err
+    def test_unwritable_output_reports_path(self, tmp_path, monkeypatch, capsys):
+        # every command that takes --out rejects an empty path, a directory
+        # and a missing directory before any of its work runs
+        def work(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+
+        for name in ("efficiency_curve", "tune", "rho", "rho_norm", "stability_length"):
+            monkeypatch.setattr(cli, name, work)
+        commands = [["table2"], ["stability"], ["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1"],
+                    ["tune", "--integrator", "proc-3.0"], ["rho-scan", "--integrator", "proc-3.0"]]
+        assert sorted(c[0] for c in commands) == sorted(c for c, (*_, opts) in COMMANDS.items() if "out" in opts)
+        for args in commands:
+            for path in ("", str(tmp_path), str(tmp_path / "missing-dir" / "x.csv")):
+                assert run_cli(args + ["--out", path]) == 2
+                assert f"--out value {json.dumps(path)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_samples_flag_restores_long_chains(self, tmp_path):
         base = ["sweep", "--integrator", "leapfrog", "--dim", "2048",

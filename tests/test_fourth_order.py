@@ -13,7 +13,6 @@ from symphmc import (
     anharmonic_model,
     gaussian_model,
     modified_kick,
-    momentum_flip,
     order_estimate,
     rowlands_leg,
 )
@@ -129,8 +128,8 @@ class TestRowlandsLeg:
         tgt = anharmonic_model(2)
         s0 = PhaseState(np.array([0.5, -0.2]), np.array([0.1, 0.7]))
         fwd = rowlands_leg(s0, 0.2, 8, tgt)
-        back = rowlands_leg(momentum_flip(fwd), 0.2, 8, tgt)
-        assert_states_close(momentum_flip(back), s0, rtol=1e-10)
+        back = rowlands_leg(PhaseState(fwd.q, -fwd.p), 0.2, 8, tgt)
+        assert_states_close(PhaseState(back.q, -back.p), s0, rtol=1e-10)
 
     def test_volume_preservation(self):
         tgt = anharmonic_model(2)

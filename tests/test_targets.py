@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symphmc import PhaseState, anharmonic_model, gaussian_model, oscillator_1d
+from symphmc import HmcConfig, PhaseState, TargetModel, anharmonic_model, gaussian_model, hmc_run, leg_gradient_count
+from symphmc.catalog import INTEGRATOR_NAMES, named_integrator
 
 points = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6)
 
@@ -26,7 +27,7 @@ class TestGaussianModel:
         assert model.potential(np.zeros(3)) == 0.0
 
     def test_oscillator_is_unit_gaussian(self):
-        osc = oscillator_1d()
+        osc = gaussian_model(1)
         assert osc.potential(np.array([1.0])) == 0.5
         assert osc.gradient(np.array([2.0]))[0] == 2.0
 
@@ -96,24 +97,34 @@ class TestAnharmonicModel:
         assert np.allclose(model.hessian_vec(q, v), fd, rtol=1e-5, atol=1e-8)
 
 
-class TestFallbackHessian:
-    def test_finite_difference_fallback(self):
-        model = anharmonic_model(2)
-        # route through the base-class fallback explicitly
-        from symphmc.targets import TargetModel
+class GradientOnly(TargetModel):
+    """V = |q|^2/2 + |q|^4/4 with no Hessian-vector hook; fresh() hands back
+    the instance itself, so a test reads the counters a chain used."""
 
-        q = np.array([0.3, -1.1])
-        v = np.array([1.0, 2.0])
-        fallback = TargetModel._hessian_vec(model, q, v)
-        exact = (1.0 + 3.0 * q * q) * v
-        assert np.allclose(fallback, exact, rtol=1e-6, atol=1e-8)
+    def _potential(self, q):
+        return float(np.sum(0.5 * q * q + 0.25 * q**4))
 
-    def test_zero_direction(self):
-        from symphmc.targets import TargetModel
+    def _gradient(self, q):
+        return q + q**3
 
-        model = anharmonic_model(2)
-        out = TargetModel._hessian_vec(model, np.array([0.3, -1.1]), np.zeros(2))
-        assert np.array_equal(out, np.zeros(2))
+    def fresh(self):
+        self.grad_evals = self.hess_evals = 0
+        return self
+
+
+class TestHessianContract:
+    @pytest.mark.parametrize("name", [n for n in INTEGRATOR_NAMES if n != "rowlands"])
+    def test_drift_kick_integrators_need_only_the_gradient(self, name):
+        target = GradientOnly(3)
+        cfg = HmcConfig(h=0.25, n_samples=20, seed=3, integrator=named_integrator(name), leg_time=2.0)
+        _, stats = hmc_run(target, cfg)
+        assert target.hess_evals == 0
+        assert target.grad_evals == stats.grad_evals == leg_gradient_count(cfg.integrator, cfg.n_steps) * 20
+
+    def test_modified_kicks_need_the_hessian_hook(self):
+        cfg = HmcConfig(h=0.25, n_samples=20, seed=3, integrator=named_integrator("rowlands"), leg_time=2.0)
+        with pytest.raises(NotImplementedError, match="_hessian_vec"):
+            hmc_run(GradientOnly(3), cfg)
 
 
 class TestCounters:

@@ -44,7 +44,7 @@ class TestTune:
         result = tune(3.0, ROW2_SEED)
         assert result.rho_norm <= 6e-8
         assert result.rho_norm <= evaluate(*ROW2_SEED, 3.0)  # never worse than the seed
-        assert result.interior_dominated
+        assert result.interior_peak <= result.rho_at_hbar + 1e-12  # no interior peak above rho(hbar)
         # result matches an independent re-evaluation of the metric
         assert abs(result.rho_norm - rho_norm(processed_family(result.b, result.c, result.d), 3.0)) <= 1e-12
         assert len(result.trace) > 0
