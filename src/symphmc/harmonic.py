@@ -16,13 +16,10 @@ from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .splitting import FlowKind, FlowSchedule, ProcessedIntegrator
+from .splitting import _DRIFT, FlowSchedule, ProcessedIntegrator
 
 # stability scan spacing and bisection tolerance
 SCAN_STEP, STABILITY_TOL = 1e-3, 1e-6
-
-# Enum member lookups cost ~0.1 us each; schedule_matrix runs in rho's inner loop.
-_DRIFT = FlowKind.DRIFT
 
 
 class TransferMatrix(NamedTuple):
@@ -141,7 +138,7 @@ def rho(integ: ProcessedIntegrator, h: Union[float, np.ndarray]) -> Union[float,
         value = 2.0 * cross * cross + 0.5 * spread * spread
     # Where the kernel is unstable, k12 and k21 are 0 or share a sign, so
     # k12 / -k21 is negative, +-0, +-inf or NaN and value is NaN or +inf.
-    value = np.where(value == value, value, math.inf)
+    value = np.fmin(value, math.inf)  # NaN reads +inf, every other value stays
     return value if isinstance(h, np.ndarray) else float(value)
 
 
@@ -149,17 +146,41 @@ def _series_matrix(schedule: FlowSchedule) -> np.ndarray:
     """schedule_matrix with h left symbolic: row i holds the coefficients of
     entry i of (m11, m12, m21, m22) in ascending powers of h.  A drift or a
     kick with c_mod = 0 raises the degree by one, a kick with c_mod != 0
-    (slope linear plus cubic in h) by three."""
-    m = np.zeros((4, 1 + sum(3 if f.c_mod != 0.0 else 1 for f in schedule)))
-    m[0, 0] = m[3, 0] = 1.0
+    (slope linear plus cubic in h) by three.  Each flow updates every entry
+    of the Python float rows once, as a + c*x or a - c*x."""
+    zeros = [0.0] * sum(3 if f.c_mod != 0.0 else 1 for f in schedule)
+    m11, m12, m21, m22 = [1.0, *zeros], [0.0, *zeros], [0.0, *zeros], [1.0, *zeros]
     for f in schedule:
+        c = f.coefficient
         if f.kind is _DRIFT:
-            m[0:2, 1:] += f.coefficient * m[2:4, :-1]
+            m11[1:] = [a + c * x for a, x in zip(m11[1:], m21)]
+            m12[1:] = [a + c * x for a, x in zip(m12[1:], m22)]
             continue
-        m[2:4, 1:] -= (f.coefficient * f.b_mod) * m[0:2, :-1]
+        c *= f.b_mod
+        m21[1:] = [a - c * x for a, x in zip(m21[1:], m11)]
+        m22[1:] = [a - c * x for a, x in zip(m22[1:], m12)]
         if f.c_mod != 0.0:
-            m[2:4, 3:] += (2.0 * f.coefficient * f.c_mod) * m[0:2, :-3]
-    return m
+            c = 2.0 * f.coefficient * f.c_mod
+            m21[3:] = [a + c * x for a, x in zip(m21[3:], m11)]
+            m22[3:] = [a + c * x for a, x in zip(m22[3:], m12)]
+    return np.array((m11, m12, m21, m22))
+
+
+def _roots(coeffs: np.ndarray) -> np.ndarray:
+    """Nonzero roots of the polynomial with ascending coefficients: those of
+    np.roots(coeffs[::-1]), from the same companion matrix, bit for bit and in
+    its order.  While the companion's first row is not finite (by Vieta, a
+    root with |s| >~ 1e16), the leading coefficient is dropped where np.roots
+    raises.  Callers silence overflow, division and invalid warnings."""
+    nonzero = np.flatnonzero(coeffs)
+    p = coeffs[nonzero[0] : nonzero[-1] + 1][::-1] if nonzero.size else coeffs[:1]
+    row = -p[1:] / p[0]
+    while not np.isfinite(row).all():
+        p = p[1:]
+        row = -p[1:] / p[0]
+    companion = np.eye(len(row), k=-1)
+    companion[:1] = row  # a constant's companion is 0 x 0
+    return np.linalg.eigvals(companion)
 
 
 def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float, float]:
@@ -184,33 +205,30 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
     if not _is_stable(*schedule_matrix(integ.kernel, hbar)[1:3]):
         return unstable
     mul = np.convolve
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         _, k12, k21, _ = _series_matrix(integ.kernel)
         alpha, beta, gamma, delta = _series_matrix(integ.pre)
         big_d = -mul(k12, k21)
         cross = mul(alpha, gamma) + mul(beta, delta)
         big_s = mul(mul(delta, delta) + mul(gamma, gamma), k12) + mul(mul(alpha, alpha) + mul(beta, beta), k21)
-        # ascending coefficients in s; np.roots takes them highest power first
         n = (4.0 * mul(mul(cross, cross), big_d) + mul(big_s, big_s))[2::2]
         d = big_d[2::2]
         dn, dd = n[1:] * np.arange(1, len(n)), d[1:] * np.arange(1, len(d))
         slope = mul(dn, d) - mul(n, dd)  # n'd - nd'; an inf or NaN in n or d carries into it
-    if not np.isfinite(slope).all():
-        return unstable
+        if not np.isfinite(slope).all():
+            return unstable
+        roots = sorted(x.real for x in _roots(d).tolist() if x.imag == 0.0 and 0.0 < x.real < s_max)
+        critical = [math.sqrt(x.real) for x in _roots(slope).tolist() if 0.0 < x.real < s_max]
 
     # Stability changes only where d changes sign, at a real root.  Probe each
     # stretch between roots a third of the way in: a double root where the
     # kernel passes through -I splits into a close pair centred on itself.
-    roots = np.roots(d[::-1])
-    roots = np.sort(roots.real[(roots.imag == 0.0) & (roots.real > 0.0) & (roots.real < s_max)])
-    edges = np.concatenate(([0.0], roots, [s_max]))
-    probes = np.sqrt(edges[:-1] + np.diff(edges) / 3.0)
-    critical = np.roots(slope[::-1]).real
-    critical = np.sqrt(critical[(critical > 0.0) & (critical < s_max)])
-    values = rho(integ, np.concatenate(([hbar], probes, critical)))
-    if values[: len(probes) + 1].max() == math.inf:
+    edges = [0.0, *roots, s_max]
+    probes = [math.sqrt(lo + (hi - lo) / 3.0) for lo, hi in zip(edges, edges[1:])]
+    values = rho(integ, np.array([hbar, *probes, *critical])).tolist()
+    if max(values[: len(probes) + 1]) == math.inf:
         return unstable
-    at_hbar, interior = float(values[0]), float(values[len(probes) + 1 :].max(initial=-math.inf))
+    at_hbar, interior = values[0], max(values[len(probes) + 1 :], default=-math.inf)
     return max(at_hbar, interior), at_hbar, interior
 
 

@@ -57,6 +57,9 @@ class FlowKind(Enum):
     KICK = "kick"
 
 
+_DRIFT = FlowKind.DRIFT  # Enum member lookups cost ~0.1 us each, a module global less
+
+
 @dataclass(frozen=True)
 class ElementaryFlow:
     """One exact sub-flow, a drift or a kick: step coefficient and the kick's
@@ -68,9 +71,10 @@ class ElementaryFlow:
     c_mod: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", float(self.coefficient))
-        object.__setattr__(self, "b_mod", float(self.b_mod))
-        object.__setattr__(self, "c_mod", float(self.c_mod))
+        if not (type(self.coefficient) is type(self.b_mod) is type(self.c_mod) is float):
+            object.__setattr__(self, "coefficient", float(self.coefficient))
+            object.__setattr__(self, "b_mod", float(self.b_mod))
+            object.__setattr__(self, "c_mod", float(self.c_mod))
         if not math.isfinite(self.coefficient):
             raise ValueError("flow coefficient must be finite")
         if not (math.isfinite(self.b_mod) and math.isfinite(self.c_mod)):
@@ -78,7 +82,7 @@ class ElementaryFlow:
 
 
 def drift(coefficient: float) -> ElementaryFlow:
-    return ElementaryFlow(FlowKind.DRIFT, coefficient)
+    return ElementaryFlow(_DRIFT, coefficient)
 
 
 def kick(coefficient: float) -> ElementaryFlow:
@@ -137,10 +141,10 @@ class FlowSchedule:
         return self.flows == tuple(reversed(self.flows))
 
     def drift_sum(self) -> float:
-        return math.fsum(f.coefficient for f in self.flows if f.kind is FlowKind.DRIFT)
+        return math.fsum(f.coefficient for f in self.flows if f.kind is _DRIFT)
 
     def kick_weight_sum(self) -> float:
-        return math.fsum(f.coefficient * f.b_mod for f in self.flows if f.kind is FlowKind.KICK)
+        return math.fsum(f.coefficient * f.b_mod for f in self.flows if f.kind is not _DRIFT)
 
 
 @dataclass(frozen=True)
@@ -197,17 +201,9 @@ def build_kernel(b: float) -> FlowSchedule:
     coeffs = (0.5 - b, a, b, 1.0 - 2.0 * a, b, a, 0.5 - b)
     if any(not math.isfinite(x) for x in coeffs):
         raise DegenerateParameter(f"non-finite kernel coefficients for b = {b}")
-    return FlowSchedule(
-        (
-            kick(0.5 - b),
-            drift(a),
-            kick(b),
-            drift(1.0 - 2.0 * a),
-            kick(b),
-            drift(a),
-            kick(0.5 - b),
-        )
-    )
+    # one object per distinct flow, so the palindrome check compares identities
+    outer, inner, middle = kick(0.5 - b), drift(a), kick(b)
+    return FlowSchedule((outer, inner, middle, drift(1.0 - 2.0 * a), middle, inner, outer))
 
 
 def build_processor(c: float, d: float) -> FlowSchedule:

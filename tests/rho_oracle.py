@@ -5,14 +5,30 @@ checks stability at the probes with a separate map, calls scalar_rho at hbar
 first (its +inf is the early exit) and then once per critical point.  The
 library's rho takes a scalar or an array of steps and its profile makes one
 rho call; these functions are the reference their bits are checked against
-wherever the old code's arithmetic does not overflow.
+wherever the old code's arithmetic does not overflow.  series_matrix is the
+slice-update form of the library's _series_matrix, which builds its rows as
+Python float lists; the profile reads its polynomials from this copy.
 """
 import math
 import sys
 
 import numpy as np
 
-from symphmc.harmonic import _is_stable, _series_matrix, schedule_matrix
+from symphmc.harmonic import _is_stable, schedule_matrix
+from symphmc.splitting import FlowKind
+
+
+def series_matrix(schedule) -> np.ndarray:
+    m = np.zeros((4, 1 + sum(3 if f.c_mod != 0.0 else 1 for f in schedule)))
+    m[0, 0] = m[3, 0] = 1.0
+    for f in schedule:
+        if f.kind is FlowKind.DRIFT:
+            m[0:2, 1:] += f.coefficient * m[2:4, :-1]
+            continue
+        m[2:4, 1:] -= (f.coefficient * f.b_mod) * m[0:2, :-1]
+        if f.c_mod != 0.0:
+            m[2:4, 3:] += (2.0 * f.coefficient * f.c_mod) * m[0:2, :-3]
+    return m
 
 
 def scalar_rho(integ, h: float) -> float:
@@ -39,8 +55,8 @@ def scalar_profile(integ, hbar: float) -> tuple[float, float, float]:
     if at_hbar == math.inf:
         return unstable
     mul = np.convolve
-    _, k12, k21, _ = _series_matrix(integ.kernel)
-    alpha, beta, gamma, delta = _series_matrix(integ.pre)
+    _, k12, k21, _ = series_matrix(integ.kernel)
+    alpha, beta, gamma, delta = series_matrix(integ.pre)
     big_d = -mul(k12, k21)
     cross = mul(alpha, gamma) + mul(beta, delta)
     big_s = mul(mul(delta, delta) + mul(gamma, gamma), k12) + mul(mul(alpha, alpha) + mul(beta, beta), k21)

@@ -17,11 +17,12 @@ from symphmc import (
     stability_length,
 )
 from symphmc.catalog import INTEGRATOR_NAMES, REFERENCE_ROWS, named_integrator, row_by_name
-from symphmc.harmonic import _is_stable, _rho_profile, _series_matrix
+from symphmc.harmonic import _is_stable, _rho_profile, _roots, _series_matrix
 from symphmc.splitting import processed_family
+from symphmc.tuning import tune
 
 from oscillator_oracle import UnstableStep, det, expected_energy_error, leg_matrix, sandwich, spectrum
-from rho_oracle import scalar_profile, scalar_rho
+from rho_oracle import scalar_profile, scalar_rho, series_matrix
 
 VERLET = named_integrator("leapfrog")
 ROW2 = named_integrator("proc-3.0")
@@ -431,6 +432,73 @@ class TestProfileMatchesScalarOracle:
             finite += math.isfinite(got[0])
         assert 300 <= finite < 400  # stable and unstable members both occur
 
+    def test_tuner_traffic(self):
+        # every member the simplex visits, at the budget it tunes for
+        row = row_by_name("proc-3.0")
+        trace = tune(3.0, (row.b, row.c, row.d), restarts=0, max_iter=100).trace
+        assert len(trace) > 100
+        for _, (b, c, d), value in trace:
+            integ = processed_family(b, c, d)
+            got = _rho_profile(integ, 3.0)
+            assert hexes(got) == hexes(scalar_profile(integ, 3.0)), (b, c, d)
+            assert got[0] == value
+
+    def test_series_matrix_matches_the_slice_update_form(self):
+        members = [named_integrator(name) for name in INTEGRATOR_NAMES]
+        members += [processed_family(b, c, d) for b, c, d, _ in _rows_nearby(200, seed=18)]
+        assert any(f.c_mod != 0.0 for f in named_integrator("rowlands").kernel)  # modified kicks are covered
+        for integ in members:
+            for schedule in (integ.kernel, integ.pre):
+                got, want = _series_matrix(schedule), series_matrix(schedule)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestRoots:
+    """_roots gives the nonzero roots of np.roots on the reversed
+    coefficients, bit for bit and in its order."""
+
+    @staticmethod
+    def coefficient_arrays(seed):
+        rng = np.random.default_rng(seed)
+        yield from (np.zeros(k) for k in (1, 2, 5))
+        for degree in range(21):
+            for _ in range(6):
+                coeffs = rng.normal(size=degree + 1) * 10.0 ** rng.integers(-8, 9, size=degree + 1)
+                zeros = rng.integers(0, 3, size=2)  # zero roots, vanishing leading terms
+                yield np.concatenate((np.zeros(zeros[0]), coeffs, np.zeros(zeros[1])))
+            single = np.zeros(degree + 1)
+            single[rng.integers(0, degree + 1)] = rng.normal()
+            yield single
+
+    def test_nonzero_roots_of_np_roots(self):
+        checked = 0
+        for coeffs in self.coefficient_arrays(seed=18):
+            try:
+                want = np.roots(coeffs[::-1])
+            except np.linalg.LinAlgError:
+                continue
+            nonzero = np.flatnonzero(coeffs)
+            zero_roots = nonzero[0] if nonzero.size else 0
+            got = _roots(coeffs)
+            assert got.dtype == want.dtype or got.size == 0
+            assert got.tobytes() == want[: want.size - zero_roots].tobytes(), coeffs
+            checked += 1
+        assert checked > 120
+
+    @pytest.mark.parametrize("lead", [1e-300, 1e-310, 5e-324])
+    def test_an_overflowing_first_row_drops_the_leading_coefficient(self, lead):
+        # np.roots raises on these; with the leading term dropped, and a zero
+        # term below it, the companion is the one of the remaining polynomial
+        rng = np.random.default_rng(18)
+        for degree in range(1, 12):
+            coeffs = rng.choice([-1.0, 1.0], size=degree + 1) * rng.uniform(2.0, 4.0, size=degree + 1) * (1e308 * lead)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.roots(np.append(coeffs, lead)[::-1])
+                want = _roots(coeffs).tobytes()
+                assert _roots(np.append(coeffs, lead)).tobytes() == want
+                assert _roots(np.concatenate((coeffs, [0.0, lead]))).tobytes() == want
+
 
 class TestOverflow:
     # (c, d) this large overflows the processor's maps and the products
@@ -440,6 +508,18 @@ class TestOverflow:
         integ = processed_family(0.348674, cd, cd)
         assert rho(integ, 3.0) == math.inf
         assert (rho(integ, np.array([0.5, 3.0])) == math.inf).all()
+
+    # a tiny processor parameter makes the leading coefficient of n'd - nd'
+    # tiny, so np.roots' companion row overflows; the member is the c = d = 0
+    # one to within far less than an ulp of rho_norm
+    @pytest.mark.parametrize("tiny", [1e-20, 1e-50, 1e-100, 1e-140, 1e-145, 1e-150, 1e-300])
+    def test_tiny_processor_parameter_is_silent_and_finite(self, tiny):
+        bare = rho_norm(processed_family(0.348674, 0.0, 0.0), 3.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for c, d in ((-0.07564, tiny), (tiny, -0.07564)):
+                assert rho_norm(processed_family(0.348674, c, d), 3.0) == bare
+        assert caught == []
 
     # at c = d = 1.778e19 (b = 0.348674) n is still finite, and n' and n'd - nd' overflow
     @pytest.mark.parametrize("cd", [1.778e19, 1e100])
