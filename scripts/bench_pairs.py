@@ -8,7 +8,15 @@
 Pair i runs `perfbench/run.py --workload W --seed S+i --seconds T --trace 0`
 once in each checkout, each from its own root and with its own perfbench/;
 the parent runs first in even pairs and the change in odd ones.  Every run
-is recorded.  Per workload and end-to-end metric (names, direction and
+is recorded.
+
+Both sides start from the same bytecode state, and neither checkout gets a
+__pycache__ from this script: each side's processes read and write bytecode
+in a fresh PYTHONPYCACHEPREFIX directory of its own (PYTHONDONTWRITEBYTECODE
+is dropped, so that directory may fill), and before pair 1 each checkout's
+src/ and perfbench/ are compiled into it and one untimed --size tiny run of
+each workload caches everything else a run imports.  The BENCH file records
+that state under "bytecode".  Per workload and end-to-end metric (names, direction and
 bounds from the change's BENCHMARK.json) the file holds each side's median
 and quartiles and the number of pairs the change won, ties counting for
 neither, and this script prints whether a gain would meet the rule of
@@ -28,6 +36,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change")
 MIN_PAIRS = 10  # fewer pairs than this support no claim of a gain
@@ -41,10 +50,31 @@ def load_run_module(root: str):
     return module
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float, size: str) -> dict:
+def checkout_pycache(root: str) -> set:
+    return {os.path.relpath(os.path.join(d, name), root) for tree in ("src", "perfbench")
+            for d, dirs, _ in os.walk(os.path.join(root, tree)) for name in dirs if name == "__pycache__"}
+
+
+def count_pyc(path: str) -> int:
+    return sum(name.endswith(".pyc") for _, _, files in os.walk(path) for name in files)
+
+
+def prepare_side(root: str, env: dict, workloads: list, seed: int) -> dict:
+    """Compile the checkout into the side's bytecode prefix, then warm the
+    prefix with one untimed tiny run per workload, so that no measured
+    process compiles anything."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=root, env=env, check=True,
+                   capture_output=True)
+    prefix = env["PYTHONPYCACHEPREFIX"]
+    tree_pyc = count_pyc(os.path.join(prefix, root.lstrip(os.sep)))
+    warm = [run_once(root, workload, seed, 0, "tiny", env)["exit_code"] for workload in workloads]
+    return {"tree_pyc": tree_pyc, "pyc_before_pair_1": count_pyc(prefix), "warm_up_exit_codes": warm}
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float, size: str, env: dict) -> dict:
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0", "--size", size]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     record = {"exit_code": proc.returncode, "failed": None, "metrics": None}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 0 and lines:
@@ -109,11 +139,24 @@ def main() -> int:
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    roots = {"parent": os.path.realpath(args.parent), "change": os.path.realpath(args.change)}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-pycache-") as cache_root:
+        return measure(args, roots, cache_root)
+
+
+def measure(args, roots: dict, cache_root: str) -> int:
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    sys.dont_write_bytecode = True  # loading each checkout's run.py must not cache it in that checkout
     modules = {side: load_run_module(root) for side, root in roots.items()}
+    envs = {}
+    for side in SIDES:
+        envs[side] = dict(os.environ, PYTHONPYCACHEPREFIX=os.path.join(cache_root, side))
+        envs[side].pop("PYTHONDONTWRITEBYTECODE", None)
+    pycache_before = {side: checkout_pycache(root) for side, root in roots.items()}
+    bytecode = {side: prepare_side(roots[side], envs[side], args.workloads, args.seed) for side in SIDES}
+    ok = all(code == 0 for side in SIDES for code in bytecode[side]["warm_up_exit_codes"])
 
     doc = {
         "description": f"perfbench/run.py --seconds {seconds:g} --trace 0 --size {args.size}, parent and change "
@@ -123,9 +166,13 @@ def main() -> int:
         "machine": f"{platform.system()} {platform.machine()}",
         "sides": {side: {"git_sha": modules[side].git_sha(root),
                          "source_sha256": modules[side].source_digest(root)} for side, root in roots.items()},
+        "bytecode": {
+            "state": "a fresh PYTHONPYCACHEPREFIX per side, outside both checkouts, PYTHONDONTWRITEBYTECODE "
+                     "unset; before pair 1: compileall src perfbench, then one untimed --size tiny run per workload",
+            "sides": bytecode,
+        },
         "workloads": {},
     }
-    ok = True
     for workload in args.workloads:
         pairs = []
         for i in range(args.pairs):
@@ -133,7 +180,7 @@ def main() -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first_side": order[0]}
             for side in order:
-                pair[side] = run_once(roots[side], workload, seed, seconds, args.size)
+                pair[side] = run_once(roots[side], workload, seed, seconds, args.size, envs[side])
                 ok &= pair[side]["exit_code"] == 0 and pair[side]["failed"] == 0
             pairs.append(pair)
         summary = {m["name"]: summarize(pairs, m) for m in bench["end_to_end"]}
@@ -150,6 +197,8 @@ def main() -> int:
                   f"vs parent IQR {s['parent_iqr']:.3g}: gain rule {'met' if s['meets_gain_rule'] else 'not met'}; "
                   f"{'worse' if s['relative_worsening'] > 0 else 'better'} by {abs(s['relative_worsening']):.1%}, "
                   f"bound {m['bound']:g}: {bound}")
+    for side, root in roots.items():
+        bytecode[side]["new_checkout_pycache"] = sorted(checkout_pycache(root) - pycache_before[side])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -15,10 +15,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--budgets", default="3.0,3.5,4.0,4.5")
     args = parser.parse_args()
-    budgets = [float(tok) for tok in args.budgets.split(",") if tok.strip()]
+    try:
+        budgets = [float(tok) for tok in args.budgets.split(",") if tok.strip()]
+    except ValueError:
+        parser.error(f"--budgets must be comma-separated numbers, got {args.budgets!r}")
+    if not budgets:
+        parser.error("--budgets names no budget")
 
     seed_row = row_by_name("proc-3.0")
-    results = continuation_sweep(budgets, (seed_row.b, seed_row.c, seed_row.d))
+    try:
+        results = continuation_sweep(budgets, (seed_row.b, seed_row.c, seed_row.d))
+    except ValueError as exc:
+        parser.error(str(exc))
     shipped = {row.hbar: row for row in REFERENCE_ROWS[1:]}
     print(f"{'hbar':>5} {'b':>12} {'c':>12} {'d':>12} {'rho_norm':>12} {'shipped':>9}")
     for res in results:

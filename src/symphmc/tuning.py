@@ -11,7 +11,7 @@ totally ordered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ from .errors import DegenerateParameter, NoDescent
 from .harmonic import _rho_profile, rho_norm
 from .splitting import processed_family
 
-TraceEntry = tuple[int, tuple[float, float, float], float]
 FATOL, XATOL = 1e-12, 1e-10  # Nelder-Mead stopping tolerances on the objective and on (b, c, d)
 
 
@@ -31,7 +30,7 @@ class TuneResult:
     d: float
     rho_norm: float
     hbar: float
-    trace: tuple[TraceEntry, ...]
+    trace: np.ndarray = field(compare=False)  # (evaluations, 4) rows of b, c, d, objective
     rho_at_hbar: float
     interior_peak: float
 
@@ -127,20 +126,27 @@ def tune(hbar: float, init: Sequence[float], restarts: int = 2, max_iter: int = 
     restarts from the incumbent with a tenfold smaller simplex, each capped
     at max_iter iterations and 2 * max_iter evaluations.  Never returns an
     objective worse than the seed's.
+
+    The result's `trace` is a read-only float64 array of shape
+    (evaluations, 4), one row per objective evaluation in the order made
+    (the seed's own check excluded), with columns b, c, d and the objective:
+    32 bytes per evaluation.
     """
     b0, c0, d0 = (float(v) for v in init)
     f_init = evaluate(b0, c0, d0, hbar)
     if not math.isfinite(f_init):
         raise NoDescent(f"objective is not finite at {(b0, c0, d0)} for hbar={hbar}")
 
-    trace: list[TraceEntry] = []
+    import array  # here, not at module top: processes that never tune do not pay for it
+
+    trace = array.array("d")
 
     def objective(x: np.ndarray) -> float:
         try:
             value = evaluate(x[0], x[1], x[2], hbar)
         except DegenerateParameter:
             value = math.inf
-        trace.append((len(trace), (float(x[0]), float(x[1]), float(x[2])), value))
+        trace.extend((x[0], x[1], x[2], value))
         return value
 
     best_x = np.array([b0, c0, d0])
@@ -154,13 +160,15 @@ def tune(hbar: float, init: Sequence[float], restarts: int = 2, max_iter: int = 
         size *= 0.1
 
     norm, at_hbar, interior = _rho_profile(processed_family(*best_x), float(hbar))
+    rows = np.frombuffer(trace, dtype=float).reshape(-1, 4)
+    rows.flags.writeable = False
     return TuneResult(
         b=float(best_x[0]),
         c=float(best_x[1]),
         d=float(best_x[2]),
         rho_norm=norm,
         hbar=float(hbar),
-        trace=tuple(trace),
+        trace=rows,
         rho_at_hbar=at_hbar,
         interior_peak=interior,
     )
@@ -168,10 +176,10 @@ def tune(hbar: float, init: Sequence[float], restarts: int = 2, max_iter: int = 
 
 def continuation_sweep(hbars: Sequence[float], init: Sequence[float]) -> list[TuneResult]:
     """Chain tune calls over increasing budgets, seeding each from the
-    previous optimum."""
+    previous optimum.  Every budget is checked before the first tune."""
     budgets = [float(x) for x in hbars]
-    if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-        raise ValueError("hbar values must be strictly increasing")
+    if not all(0.0 < b < math.inf for b in budgets) or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
+        raise ValueError(f"hbar values must be positive, finite and strictly increasing, got {budgets}")
     results: list[TuneResult] = []
     seed = tuple(float(v) for v in init)
     for hbar in budgets:

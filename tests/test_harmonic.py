@@ -437,7 +437,7 @@ class TestProfileMatchesScalarOracle:
         row = row_by_name("proc-3.0")
         trace = tune(3.0, (row.b, row.c, row.d), restarts=0, max_iter=100).trace
         assert len(trace) > 100
-        for _, (b, c, d), value in trace:
+        for b, c, d, value in trace:
             integ = processed_family(b, c, d)
             got = _rho_profile(integ, 3.0)
             assert hexes(got) == hexes(scalar_profile(integ, 3.0)), (b, c, d)

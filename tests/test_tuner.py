@@ -2,8 +2,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from symphmc import DegenerateParameter, NoDescent, cli, continuation_sweep, evaluate, rho_norm, tune
@@ -53,11 +55,33 @@ class TestTune:
         r1 = tune(3.0, ROW2_SEED, restarts=0, max_iter=150)
         r2 = tune(3.0, ROW2_SEED, restarts=0, max_iter=150)
         assert (r1.b, r1.c, r1.d, r1.rho_norm) == (r2.b, r2.c, r2.d, r2.rho_norm)
-        assert r1.trace == r2.trace
+        assert r1.trace.tobytes() == r2.trace.tobytes()
 
     def test_from_row5_seed_at_its_own_budget(self):
         result = tune(4.5, ROW5_SEED, restarts=0)
         assert result.rho_norm <= 5e-5
+
+    def test_trace_is_a_read_only_float_array(self):
+        result = tune(3.0, ROW2_SEED, restarts=0, max_iter=50)
+        trace = result.trace
+        assert trace.dtype == np.float64 and trace.shape == (len(trace), 4) and len(trace) > 0
+        assert not trace.flags.writeable
+        with pytest.raises(ValueError):
+            trace[0, 0] = 0.0
+        # the trace takes no part in equality or hashing
+        assert hash(result) == hash(tune(3.0, ROW2_SEED, restarts=0, max_iter=50))
+
+    def test_trace_holds_at_most_48_bytes_per_evaluation(self):
+        tune(3.0, ROW2_SEED, restarts=0, max_iter=10)  # warm-up: first-call allocations are not the trace's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = tune(3.0, ROW2_SEED)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.trace) == 1111
+        assert held <= 48 * len(result.trace), held / len(result.trace)
 
     def test_no_descent_from_an_overflowing_seed(self):
         # c = d = 1e100 overflows the polynomials: +inf, never NaN or a numpy error
@@ -77,6 +101,15 @@ class TestContinuation:
     def test_monotone_budgets_required(self):
         with pytest.raises(ValueError):
             continuation_sweep([3.0, 3.0], ROW2_SEED)
+
+    @pytest.mark.parametrize("budgets", [[3.0, math.inf], [3.0, math.nan], [0.0, 3.0], [-1.0], [math.inf]])
+    def test_bad_budgets_fail_before_any_tuning(self, monkeypatch, budgets):
+        def no_tune(*args, **kwargs):
+            raise AssertionError("tune called")
+
+        monkeypatch.setattr(tuning, "tune", no_tune)
+        with pytest.raises(ValueError, match="positive, finite and strictly increasing"):
+            continuation_sweep(budgets, ROW2_SEED)
 
     def test_empty_list(self):
         assert continuation_sweep([], ROW2_SEED) == []
@@ -129,8 +162,8 @@ class TestSimplexMatchesScipy:
         monkeypatch.setattr(tuning, "_nelder_mead", scipy_nelder_mead)
         theirs = tune(hbar, seed, **kwargs)
         assert len(ours.trace) == evaluations
-        assert sum(math.isinf(value) for _, _, value in ours.trace) == infinite
-        assert ours == theirs  # every field, the full trace included
+        assert sum(math.isinf(value) for b, c, d, value in ours.trace) == infinite
+        assert ours == theirs and ours.trace.tobytes() == theirs.trace.tobytes()  # every field, the full trace included
 
 
 NO_SCIPY_RUN = f"""
@@ -147,13 +180,29 @@ sys.exit(code)
 """
 
 
-def test_runs_without_scipy(capsys):
+def src_env() -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(tuning.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env, capture_output=True, text=True, timeout=120)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_runs_without_scipy(capsys):
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=src_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
 
     assert cli.main(["tune", "--integrator", "proc-3.0", "--h", "3.0"]) == 0
     r = continuation_sweep([3.0], ROW2_SEED)[0]
     print(repr((r.b, r.c, r.d, r.rho_norm, len(r.trace))))
     assert proc.stdout == capsys.readouterr().out
+
+
+RETUNE_SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "retune_table2.py")
+
+
+@pytest.mark.parametrize("budgets", ["abc", "4.0,3.0", "", "3.0,inf"])
+def test_retune_script_rejects_bad_budgets(budgets):
+    proc = subprocess.run([sys.executable, RETUNE_SCRIPT, "--budgets", budgets], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1, proc.stderr
