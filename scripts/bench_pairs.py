@@ -8,15 +8,7 @@
 Pair i runs `perfbench/run.py --workload W --seed S+i --seconds T --trace 0`
 once in each checkout, each from its own root and with its own perfbench/;
 the parent runs first in even pairs and the change in odd ones.  Every run
-is recorded.
-
-Both sides start from the same bytecode state, and neither checkout gets a
-__pycache__ from this script: each side's processes read and write bytecode
-in a fresh PYTHONPYCACHEPREFIX directory of its own (PYTHONDONTWRITEBYTECODE
-is dropped, so that directory may fill), and before pair 1 each checkout's
-src/ and perfbench/ are compiled into it and one untimed --size tiny run of
-each workload caches everything else a run imports.  The BENCH file records
-that state under "bytecode".  Per workload and end-to-end metric (names, direction and
+is recorded.  Per workload and end-to-end metric (names, direction and
 bounds from the change's BENCHMARK.json) the file holds each side's median
 and quartiles and the number of pairs the change won, ties counting for
 neither, and this script prints whether a gain would meet the rule of
@@ -24,7 +16,15 @@ paired measurement: at least 10 pairs, the change wins at least 9 in 10 of
 them, and the medians differ by more than the parent's interquartile range.  It also prints
 whether the change's median is within the metric's bound of the parent's,
 and calls that unresolved where the parent's own spread exceeds the bound.
-Exit status 1 when any run failed or reported failed checks.
+
+Both sides start from the same bytecode state, and neither checkout gets a
+__pycache__ from this script: each side's processes read and write bytecode
+in a fresh PYTHONPYCACHEPREFIX directory of its own (PYTHONDONTWRITEBYTECODE
+is dropped, so that directory may fill), and before pair 1 each checkout's
+src/ and perfbench/ are compiled into it and one untimed --size tiny run of
+each workload caches everything else a run imports.  The BENCH file records
+that state under "bytecode".  Exit status 1 when any run, warm-up included,
+failed or reported failed checks.
 """
 from __future__ import annotations
 

@@ -62,14 +62,14 @@ class TestTune:
         assert result.rho_norm <= 5e-5
 
     def test_trace_is_a_read_only_float_array(self):
-        result = tune(3.0, ROW2_SEED, restarts=0, max_iter=50)
+        result = tune(3.0, ROW2_SEED, restarts=0, max_iter=10)  # stops at its cap of 20 evaluations
         trace = result.trace
-        assert trace.dtype == np.float64 and trace.shape == (len(trace), 4) and len(trace) > 0
+        assert trace.dtype == np.float64 and trace.shape == (20, 4)
         assert not trace.flags.writeable
         with pytest.raises(ValueError):
             trace[0, 0] = 0.0
         # the trace takes no part in equality or hashing
-        assert hash(result) == hash(tune(3.0, ROW2_SEED, restarts=0, max_iter=50))
+        assert hash(result) == hash(tune(3.0, ROW2_SEED, restarts=0, max_iter=10))
 
     def test_trace_holds_at_most_48_bytes_per_evaluation(self):
         tune(3.0, ROW2_SEED, restarts=0, max_iter=10)  # warm-up: first-call allocations are not the trace's
