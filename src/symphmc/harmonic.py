@@ -202,8 +202,6 @@ def _rho_profile(integ: ProcessedIntegrator, hbar: float) -> tuple[float, float,
     if s_max == 0.0:
         raise ValueError(f"hbar={hbar} is too small: hbar^2 underflows to 0")
     unstable = (math.inf, math.inf, math.inf)
-    if not _is_stable(*schedule_matrix(integ.kernel, hbar)[1:3]):
-        return unstable
     mul = np.convolve
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         _, k12, k21, _ = _series_matrix(integ.kernel)

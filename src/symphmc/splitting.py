@@ -210,8 +210,6 @@ def build_processor(c: float, d: float) -> FlowSchedule:
     """Preprocessor acting as kick(d), drift(c), kick(-d), drift(-c); both
     coefficient sums vanish exactly, so the map is O(h^2) close to identity."""
     c, d = float(c), float(d)
-    if not (math.isfinite(c) and math.isfinite(d)):
-        raise ValueError("processor parameters must be finite")
     return FlowSchedule((kick(d), drift(c), kick(-d), drift(-c)))
 
 
@@ -300,19 +298,17 @@ def integrate_leg(
 
 
 def _fused_count(flows: Iterable[ElementaryFlow], grad_held: bool, hvp_held: bool) -> tuple[int, bool, bool]:
-    """Evaluations fused flows consume from the given cache state (gradient
-    held, Hessian-vector product held), a product billed as one gradient,
-    and the cache state they leave."""
+    """Evaluations the flows, lowered as the executor runs them, consume from
+    the given cache state (gradient held, Hessian-vector product held), a
+    product billed as one gradient, and the cache state they leave."""
     count = 0
-    for f in flows:
-        if f.coefficient == 0.0:
-            continue
-        if f.kind is FlowKind.DRIFT:
+    for is_drift, _, _, c2h2 in _lower(flows, 1.0):
+        if is_drift:
             grad_held = hvp_held = False
             continue
         if not grad_held:
             count, grad_held = count + 1, True
-        if f.c_mod != 0.0 and not hvp_held:
+        if c2h2 is not None and not hvp_held:
             count, hvp_held = count + 1, True
     return count, grad_held, hvp_held
 

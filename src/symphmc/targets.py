@@ -10,7 +10,7 @@ import copy
 
 import numpy as np
 
-from .splitting import PhaseState, whole
+from .splitting import whole
 
 
 class TargetModel:
@@ -92,14 +92,6 @@ class GaussianModel(TargetModel):
 
     def exact_sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dim) / self.frequencies
-
-    def exact_flow(self, state: PhaseState, t: float) -> PhaseState:
-        """Exact dynamics: mode j rotates by angle j*t; conserves energy."""
-        ang = self.frequencies * t
-        cos, sin = np.cos(ang), np.sin(ang)
-        q = state.q * cos + state.p / self.frequencies * sin
-        p = -self.frequencies * state.q * sin + state.p * cos
-        return PhaseState(q, p)
 
 
 class AnharmonicModel(TargetModel):

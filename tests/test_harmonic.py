@@ -420,7 +420,12 @@ class TestProfileMatchesScalarOracle:
         tiny = [1e-160, 1e-158, 1e-157]
         budgets = tiny + [0.5, 1.0, 1.58274, 2.0, 3.0, 3.5, 4.0, 4.5, 5.0, 6.2, 0.999 * h_s, 1.001 * h_s, 8.0]
         for hbar in budgets:
-            assert hexes(_rho_profile(integ, hbar)) == hexes(scalar_profile(integ, hbar)), hbar
+            # past h_s (1.001*h_s and 8.0 for every member) the kernel is
+            # unstable at hbar, and the profile still reaches the polynomial roots
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _rho_profile(integ, hbar)
+            assert hexes(got) == hexes(scalar_profile(integ, hbar)), hbar
         assert any(math.isinf(_rho_profile(integ, hbar)[0]) for hbar in budgets)
 
     def test_random_members_near_the_rows(self):

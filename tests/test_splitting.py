@@ -346,10 +346,22 @@ class TestGradientCounts:
 
     @pytest.mark.parametrize(
         "n_steps, name",
-        [(n, name) for name in INTEGRATOR_NAMES for n in (1, 2, 3, 10, 1001) if (name, n) != ("rowlands", 1)],
+        [
+            (n, name)
+            for name in (*INTEGRATOR_NAMES, "proc-3.0+zero-modified-kick")
+            for n in (1, 2, 3, 10, 1001)
+            if (name, n) != ("rowlands", 1)
+        ],
     )
     def test_closed_form_matches_walk(self, n_steps, name):
-        integ = named_integrator(name)
+        if name == "proc-3.0+zero-modified-kick":
+            # a zero-coefficient modified kick right after a drift is dropped
+            # before the executor: it bills no gradient and no Hessian-vector product
+            integ = named_integrator("proc-3.0")
+            kd, dc, *rest = integ.pre
+            integ = ProcessedIntegrator(integ.kernel, FlowSchedule((kd, dc, modified_kick(0.0, 0.5, 1 / 48), *rest)))
+        else:
+            integ = named_integrator(name)
         walked = walked_gradient_count(integ, n_steps)
         assert leg_gradient_count(integ, n_steps) == walked
         tgt = anharmonic_model(3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symphmc import HmcConfig, PhaseState, TargetModel, anharmonic_model, gaussian_model, hmc_run, leg_gradient_count
+from symphmc import HmcConfig, TargetModel, anharmonic_model, gaussian_model, hmc_run, leg_gradient_count
 from symphmc.catalog import INTEGRATOR_NAMES, named_integrator
 
 points = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6)
@@ -57,20 +57,6 @@ class TestGaussianModel:
             target_var = 1.0 / (j + 1) ** 2
             se = target_var * math.sqrt(2.0 / n)
             assert abs(var - target_var) <= 5 * se
-
-    def test_exact_flow_rotates_each_mode(self):
-        model = gaussian_model(2)
-        s = PhaseState(np.array([1.0, 0.5]), np.array([0.0, -0.2]))
-        t = 0.7
-        out = model.exact_flow(s, t)
-        for j, w in enumerate((1.0, 2.0)):
-            q0, p0 = s.q[j], s.p[j]
-            assert math.isclose(out.q[j], q0 * math.cos(w * t) + p0 / w * math.sin(w * t), rel_tol=1e-14, abs_tol=1e-15)
-            assert math.isclose(out.p[j], -w * q0 * math.sin(w * t) + p0 * math.cos(w * t), rel_tol=1e-14, abs_tol=1e-15)
-        # energy conserved exactly up to roundoff
-        e0 = 0.5 * (s.p @ s.p) + model.potential(s.q)
-        e1 = 0.5 * (out.p @ out.p) + model.potential(out.q)
-        assert abs(e1 - e0) < 1e-14
 
 
 class TestAnharmonicModel:
