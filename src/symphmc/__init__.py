@@ -9,7 +9,6 @@ from .errors import (
 )
 from .splitting import (
     ElementaryFlow,
-    FlowKind,
     FlowSchedule,
     PhaseState,
     ProcessedIntegrator,

@@ -5,7 +5,9 @@ tuned for, the kernel parameter b, the processor parameters (c, d), the
 guaranteed upper bound on the energy-error metric over (0, hbar], and the
 length of the kernel's linear stability interval; 'blcasa', the unprocessed
 baseline, is the row with c = d = 0.  Leapfrog and the fourth-order scheme
-'rowlands' are named here too.  Each named integrator is built once, at import.
+'rowlands', built from exact Fraction constants, are named here too.  Each
+named integrator is built once, at import: that copy is what runs and what
+is checked.
 """
 from __future__ import annotations
 
@@ -34,16 +36,6 @@ KAPPA_BETA_1 = Fraction(23, 72)
 KAPPA_GAMMA_1 = Fraction(55, 1728)
 KAPPA_ALPHA_2 = Fraction(1, 7)
 KAPPA_BETA_2 = Fraction(49, 72)
-
-POSITIVE_COEFFICIENTS = (
-    KERNEL_KICK_B,
-    KERNEL_KICK_C,
-    KAPPA_ALPHA_1,
-    KAPPA_BETA_1,
-    KAPPA_GAMMA_1,
-    KAPPA_ALPHA_2,
-    KAPPA_BETA_2,
-)
 
 
 @dataclass(frozen=True)

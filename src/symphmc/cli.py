@@ -21,7 +21,7 @@ from .errors import NoDescent
 from .fourth_order import order_estimate, rowlands_leg
 from .harmonic import rho, rho_norm, stability_length
 from .hmc import efficiency_curve
-from .splitting import FlowSchedule, PhaseState, ProcessedIntegrator
+from .splitting import FlowSchedule, PhaseState, ProcessedIntegrator, whole
 from .targets import anharmonic_model, gaussian_model
 from .tuning import tune
 
@@ -37,16 +37,6 @@ class CliUsageError(Exception):
 def _fmt(x: float) -> str:
     """17 significant digits: lossless float round trip."""
     return format(float(x), ".17g")
-
-
-def _whole(low: int):
-    def convert(text: str) -> int:
-        n = int(text)
-        if n < low:
-            raise ValueError(f"must be a whole number >= {low}")
-        return n
-
-    return convert
 
 
 def _positive(text: str) -> float:
@@ -91,13 +81,13 @@ def _integrator(text: str) -> str:
 # the text the flag would carry) and a default all pass through the one
 # converter.  `init` has no flag: it is a config key of `tune` only.
 OPTIONS = {
-    "integrator": (_integrator, "integrator name"),
-    "dim": (_whole(1), "target dimension"),
+    "integrator": (_integrator, f"integrator name: {', '.join(catalog.INTEGRATOR_NAMES)}"),
+    "dim": (lambda text: whole(int(text), "dim", 1), "target dimension"),
     "h": (_steps, "step size(s); comma separated where a list is accepted"),
-    "h_grid": (_whole(1), "number of points of the generated step-size grid"),
+    "h_grid": (lambda text: whole(int(text), "h_grid", 1), "number of points of the generated step-size grid"),
     "leg_time": (_positive, "leg duration N*h"),
-    "samples": (_whole(1), "chain length (default 5000 up to d=1024, else 1000)"),
-    "seed": (_whole(0), "base seed; chain i uses seed ^ i"),
+    "samples": (lambda text: whole(int(text), "samples", 1), "chain length (default 5000 up to d=1024, else 1000)"),
+    "seed": (lambda text: whole(int(text), "seed", 0), "base seed; chain i uses seed ^ i"),
     "out": (_out, "output file (default stdout)"),
     "init": (_init, None),
 }
@@ -293,10 +283,10 @@ def cmd_rowlands_order(opts: dict) -> int:
     target = anharmonic_model(1)
 
     rowlands = catalog.named_integrator("rowlands")
-    processed = order_estimate(target, rowlands, t_final, h0, levels=4)
-    bare = order_estimate(target, ProcessedIntegrator(rowlands.kernel, FlowSchedule()), t_final, h0, levels=4)
-    verlet = order_estimate(target, catalog.named_integrator("leapfrog"), t_final, h0, levels=4)
-    positive = all(f > 0 for f in catalog.POSITIVE_COEFFICIENTS)
+    processed = order_estimate(target, rowlands, t_final, h0)
+    bare = order_estimate(target, ProcessedIntegrator(rowlands.kernel, FlowSchedule()), t_final, h0)
+    verlet = order_estimate(target, catalog.named_integrator("leapfrog"), t_final, h0)
+    positive = all(f.coefficient > 0 and f.b_mod > 0 and f.c_mod >= 0 for f in (*rowlands.pre, *rowlands.kernel))
 
     # per-leg cost of the modified-potential kicks: gradients and
     # Hessian-vector products are billed separately
@@ -343,10 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                 continue
             if default is not None:
                 flag_help += f" (default {default})"
-            if name == "integrator":
-                sp.add_argument(flag, choices=catalog.INTEGRATOR_NAMES, help=flag_help)
-            else:
-                sp.add_argument(flag, dest=name, help=flag_help)
+            sp.add_argument(flag, dest=name, help=flag_help)
         sp.add_argument("--config", help=f"JSON object with keys {', '.join(defaults)}; flags override")
         sp.set_defaults(func=func, defaults=defaults)
     return parser

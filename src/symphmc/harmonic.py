@@ -16,7 +16,7 @@ from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .splitting import _DRIFT, FlowSchedule, ProcessedIntegrator
+from .splitting import FlowSchedule, ProcessedIntegrator
 
 # stability scan spacing and bisection tolerance
 SCAN_STEP, STABILITY_TOL = 1e-3, 1e-6
@@ -58,7 +58,7 @@ def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> Tran
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     for f in schedule:
         c = f.coefficient * h
-        if f.kind is _DRIFT:
+        if f.is_drift:
             m11 = m11 + c * m21
             m12 = m12 + c * m22
             continue
@@ -152,7 +152,7 @@ def _series_matrix(schedule: FlowSchedule) -> np.ndarray:
     m11, m12, m21, m22 = [1.0, *zeros], [0.0, *zeros], [0.0, *zeros], [1.0, *zeros]
     for f in schedule:
         c = f.coefficient
-        if f.kind is _DRIFT:
+        if f.is_drift:
             m11[1:] = [a + c * x for a, x in zip(m11[1:], m21)]
             m12[1:] = [a + c * x for a, x in zip(m12[1:], m22)]
             continue

@@ -1,14 +1,15 @@
 """Splitting schedules and symmetrically processed integration legs.
 
-A schedule is an ordered tuple of elementary flows, drifts and kicks (a
-plain kick is a modified kick with (b, c) = (1, 0)), listed in the order
-they act; every coefficient multiplies the step size h.  A leg applies a
-preprocessor once, iterates the kernel, and applies the adjoint of the
-preprocessor once, which keeps the whole leg time reversible whenever the
-kernel is palindromic.  A preprocessor whose drift and kick weights sum to
-1 has one kernel step folded in (the fourth-order kappa); a leg of N steps
-then runs the kernel N - 2 times instead of N, so it always spans N*h.
-Processed, fourth-order and Verlet legs all run through integrate_leg.
+A schedule is an ordered tuple of elementary flows, listed in the order
+they act; each is a drift or a kick, told apart by its is_drift flag (a
+plain kick is a modified kick with (b, c) = (1, 0)), and every coefficient
+multiplies the step size h.  A leg applies a preprocessor once, iterates
+the kernel, and applies the adjoint of the preprocessor once, which keeps
+the whole leg time reversible whenever the kernel is palindromic.  A
+preprocessor whose drift and kick weights sum to 1 has one kernel step
+folded in (the fourth-order kappa); a leg of N steps then runs the kernel
+N - 2 times instead of N, so it always spans N*h.  Processed, fourth-order
+and Verlet legs all run through integrate_leg.
 
 A leg lowers each schedule once to plain (is_drift, c*h, b_mod,
 2*c_mod*h^2) tuples, dropping zero-coefficient flows, and the executor
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
@@ -52,20 +52,12 @@ def whole(value, what: str, minimum: int, short: type = ValueError) -> int:
     return int(value)
 
 
-class FlowKind(Enum):
-    DRIFT = "drift"
-    KICK = "kick"
-
-
-_DRIFT = FlowKind.DRIFT  # Enum member lookups cost ~0.1 us each, a module global less
-
-
 @dataclass(frozen=True)
 class ElementaryFlow:
     """One exact sub-flow, a drift or a kick: step coefficient and the kick's
     weights (b_mod, c_mod) in b*V - h^2*c*|grad V|^2, (1, 0) for a plain kick."""
 
-    kind: FlowKind
+    is_drift: bool
     coefficient: float
     b_mod: float = 1.0
     c_mod: float = 0.0
@@ -82,15 +74,15 @@ class ElementaryFlow:
 
 
 def drift(coefficient: float) -> ElementaryFlow:
-    return ElementaryFlow(_DRIFT, coefficient)
+    return ElementaryFlow(True, coefficient)
 
 
 def kick(coefficient: float) -> ElementaryFlow:
-    return ElementaryFlow(FlowKind.KICK, coefficient)
+    return ElementaryFlow(False, coefficient)
 
 
 def modified_kick(coefficient: float, b_mod: float, c_mod: float) -> ElementaryFlow:
-    return ElementaryFlow(FlowKind.KICK, coefficient, b_mod, c_mod)
+    return ElementaryFlow(False, coefficient, b_mod, c_mod)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +133,10 @@ class FlowSchedule:
         return self.flows == tuple(reversed(self.flows))
 
     def drift_sum(self) -> float:
-        return math.fsum(f.coefficient for f in self.flows if f.kind is _DRIFT)
+        return math.fsum(f.coefficient for f in self.flows if f.is_drift)
 
     def kick_weight_sum(self) -> float:
-        return math.fsum(f.coefficient * f.b_mod for f in self.flows if f.kind is not _DRIFT)
+        return math.fsum(f.coefficient * f.b_mod for f in self.flows if not f.is_drift)
 
 
 @dataclass(frozen=True)
@@ -225,7 +217,7 @@ def _lower(flows: Iterable[ElementaryFlow], h: float) -> tuple[tuple[bool, float
     h2 = h * h
     # tuple(generator) builds by resizing, past the tuple free list that freeing
     # refills, so each leg would leave its tuples there (up to 2000 per length)
-    lowered = [(f.kind is FlowKind.DRIFT, f.coefficient * h, f.b_mod, 2.0 * f.c_mod * h2 if f.c_mod != 0.0 else None)
+    lowered = [(f.is_drift, f.coefficient * h, f.b_mod, 2.0 * f.c_mod * h2 if f.c_mod != 0.0 else None)
                for f in flows if f.coefficient != 0.0]
     return tuple(lowered)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from symphmc import PhaseState, ProcessedIntegrator
 from symphmc.errors import NonFiniteState
-from symphmc.splitting import ElementaryFlow, FlowKind
+from symphmc.splitting import ElementaryFlow
 
 
 def allocating_run_flows(
@@ -28,7 +28,7 @@ def allocating_run_flows(
         coeff = f.coefficient
         if coeff == 0.0:
             continue
-        if f.kind is FlowKind.DRIFT:
+        if f.is_drift:
             q = q + (coeff * h) * p
             grad = None
             hvp = None

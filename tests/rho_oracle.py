@@ -15,14 +15,13 @@ import sys
 import numpy as np
 
 from symphmc.harmonic import _is_stable, schedule_matrix
-from symphmc.splitting import FlowKind
 
 
 def series_matrix(schedule) -> np.ndarray:
     m = np.zeros((4, 1 + sum(3 if f.c_mod != 0.0 else 1 for f in schedule)))
     m[0, 0] = m[3, 0] = 1.0
     for f in schedule:
-        if f.kind is FlowKind.DRIFT:
+        if f.is_drift:
             m[0:2, 1:] += f.coefficient * m[2:4, :-1]
             continue
         m[2:4, 1:] -= (f.coefficient * f.b_mod) * m[0:2, :-1]

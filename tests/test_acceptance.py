@@ -27,7 +27,7 @@ from symphmc import (
     stability_length,
     tune,
 )
-from symphmc.catalog import POSITIVE_COEFFICIENTS, REFERENCE_ROWS, named_integrator, row_by_name
+from symphmc.catalog import REFERENCE_ROWS, named_integrator, row_by_name
 from symphmc.cli import default_h_grid
 
 from oscillator_oracle import det, expected_energy_error, leg_matrix, spectrum
@@ -215,12 +215,12 @@ def test_criterion_6_near_perfect_acceptance():
 
 def test_criterion_7_fourth_order():
     elapsed = timed()
-    assert all(f > 0 for f in POSITIVE_COEFFICIENTS)  # exact rational check
     rowlands = named_integrator("rowlands")
-    processed = order_estimate(anharmonic_model(1), rowlands, 2.0, 0.25, levels=4)
+    assert all(f.coefficient > 0 and f.b_mod > 0 and f.c_mod >= 0 for f in (*rowlands.pre, *rowlands.kernel))
+    processed = order_estimate(anharmonic_model(1), rowlands, 2.0, 0.25)
     assert all(3.5 <= v <= 4.5 for v in processed), processed
     bare_kernel = ProcessedIntegrator(rowlands.kernel, FlowSchedule())
-    bare = order_estimate(anharmonic_model(1), bare_kernel, 2.0, 0.25, levels=4)
+    bare = order_estimate(anharmonic_model(1), bare_kernel, 2.0, 0.25)
     assert all(1.7 <= v <= 2.3 for v in bare), bare
     report(7, f"processed orders {[round(v, 2) for v in processed]}, bare {[round(v, 2) for v in bare]}, {elapsed():.1f}s")
 

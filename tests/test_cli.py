@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import symphmc
-from symphmc import HmcConfig, catalog, cli, gaussian_model, hmc_run
+from symphmc import FlowSchedule, HmcConfig, ProcessedIntegrator, catalog, cli, gaussian_model, hmc_run, modified_kick
 from symphmc.cli import COMMANDS, SWEEP_CSV_HEADER, _fmt, _workers, main
 from symphmc.harmonic import rho
 from symphmc.catalog import named_integrator
@@ -81,10 +81,14 @@ class TestSweep:
             _, stats = hmc_run(gaussian_model(16), cfg, use_fast_path=False)
             assert stats.grad_per_leg == grad_per_leg
 
-    def test_unknown_integrator_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["sweep", "--integrator", "nope"])
-        assert exc.value.code == 2
+    def test_unknown_integrator_is_usage_error(self, capsys):
+        # the flag passes through the same converter as a config value; --help lists the names
+        assert run_cli(["sweep", "--integrator", "nope"]) == 2
+        names = ", ".join(catalog.INTEGRATOR_NAMES)
+        assert capsys.readouterr().err == f'error: bad --integrator value "nope": choose from {names}\n'
+        with pytest.raises(SystemExit):
+            run_cli(["sweep", "--help"])
+        assert names in " ".join(capsys.readouterr().out.split())
 
     def test_csv_schema_and_consistency(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -435,6 +439,16 @@ class TestRowlandsOrder:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "positive: True" in out
+
+    def test_positivity_reads_the_running_flows(self, monkeypatch, capsys):
+        # gamma_1 negated in kappa's first flow: its kick weight, so the sums, stay
+        rowlands = catalog.named_integrator("rowlands")
+        first, *rest = rowlands.pre.flows
+        flipped = modified_kick(first.coefficient, first.b_mod, -first.c_mod)
+        monkeypatch.setitem(catalog._INTEGRATORS, "rowlands",
+                            ProcessedIntegrator(rowlands.kernel, FlowSchedule((flipped, *rest))))
+        assert run_cli(["rowlands-order"]) == 1  # the order gate fails too
+        assert "all substep coefficients positive: False\n" in capsys.readouterr().out
 
 
 DECLARED_FLAGS = {

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from symphmc import (
-    FlowKind,
     FlowSchedule,
     InsufficientSteps,
     PhaseState,
@@ -17,6 +16,7 @@ from symphmc import (
     rowlands_leg,
 )
 from symphmc.catalog import (
+    INTEGRATOR_NAMES,
     KAPPA_ALPHA_1,
     KAPPA_ALPHA_2,
     KAPPA_BETA_1,
@@ -24,12 +24,12 @@ from symphmc.catalog import (
     KAPPA_GAMMA_1,
     KERNEL_KICK_B,
     KERNEL_KICK_C,
-    POSITIVE_COEFFICIENTS,
     named_integrator,
 )
 from symphmc.splitting import _lower, _run_flows
 
 from conftest import assert_states_close
+from series_oracle import ROWLANDS_KERNEL, SCHEDULES, error, leg, matched_order, rowlands_kappa
 
 SCHEME = named_integrator("rowlands")
 BARE_KERNEL = ProcessedIntegrator(SCHEME.kernel, FlowSchedule())
@@ -43,7 +43,8 @@ def modified_force(q, b_mod, c_mod, h, target):
 
 class TestCoefficients:
     def test_exact_rational_positivity(self):
-        assert all(f > 0 for f in POSITIVE_COEFFICIENTS)
+        # the flows that run, as rowlands-order checks them; then the exact constants
+        assert all(f.coefficient > 0 and f.b_mod > 0 and f.c_mod >= 0 for f in (*SCHEME.pre, *SCHEME.kernel))
         assert KAPPA_ALPHA_1 == Fraction(6, 7)
         assert KAPPA_BETA_1 == Fraction(23, 72)
         assert KAPPA_GAMMA_1 == Fraction(55, 1728)
@@ -54,10 +55,10 @@ class TestCoefficients:
 
     def test_schedules_carry_the_rationals(self):
         mk, dr, ki, dr2 = SCHEME.pre.flows
-        assert (mk.kind, mk.b_mod, mk.c_mod) == (FlowKind.KICK, float(KAPPA_BETA_1), float(KAPPA_GAMMA_1))
-        assert (dr.kind, dr.coefficient) == (FlowKind.DRIFT, float(KAPPA_ALPHA_1))
-        assert (ki.kind, ki.coefficient) == (FlowKind.KICK, float(KAPPA_BETA_2))
-        assert (dr2.kind, dr2.coefficient) == (FlowKind.DRIFT, float(KAPPA_ALPHA_2))
+        assert (mk.is_drift, mk.b_mod, mk.c_mod) == (False, float(KAPPA_BETA_1), float(KAPPA_GAMMA_1))
+        assert (dr.is_drift, dr.coefficient) == (True, float(KAPPA_ALPHA_1))
+        assert (ki.is_drift, ki.coefficient) == (False, float(KAPPA_BETA_2))
+        assert (dr2.is_drift, dr2.coefficient) == (True, float(KAPPA_ALPHA_2))
         assert all(f.coefficient > 0 for f in SCHEME.pre.flows)
         assert all(f.coefficient > 0 for f in SCHEME.kernel.flows)
 
@@ -158,7 +159,7 @@ class TestRowlandsLeg:
         m = np.eye(2)
         flows = list(SCHEME.pre.flows) + list(SCHEME.kernel.flows) * (n - 2) + list(SCHEME.post.flows)
         for f in flows:
-            if f.kind is FlowKind.DRIFT:
+            if f.is_drift:
                 step = np.array([[1.0, f.coefficient * h], [0.0, 1.0]])
             else:
                 slope = f.coefficient * (f.b_mod - 2.0 * f.c_mod * h * h)
@@ -171,23 +172,58 @@ class TestRowlandsLeg:
 
 class TestOrderEstimate:
     def test_processed_is_fourth_order_on_anharmonic(self):
-        orders = order_estimate(anharmonic_model(1), SCHEME, 2.0, 0.25, levels=4)
+        orders = order_estimate(anharmonic_model(1), SCHEME, 2.0, 0.25)
         assert all(3.5 <= v <= 4.5 for v in orders)
 
     def test_processed_is_fourth_order_on_harmonic(self):
-        orders = order_estimate(gaussian_model(1), SCHEME, 2.0, 0.25, levels=3)
+        orders = order_estimate(gaussian_model(1), SCHEME, 2.0, 0.25)
         assert all(3.5 <= v <= 4.5 for v in orders)
 
     def test_bare_kernel_is_second_order(self):
-        orders = order_estimate(anharmonic_model(1), BARE_KERNEL, 2.0, 0.25, levels=4)
+        orders = order_estimate(anharmonic_model(1), BARE_KERNEL, 2.0, 0.25)
         assert all(1.7 <= v <= 2.3 for v in orders)
 
     def test_verlet_is_second_order(self):
-        orders = order_estimate(anharmonic_model(1), named_integrator("leapfrog"), 2.0, 0.25, levels=3)
+        orders = order_estimate(anharmonic_model(1), named_integrator("leapfrog"), 2.0, 0.25)
         assert all(1.7 <= v <= 2.3 for v in orders)
 
     def test_step_compatibility_enforced(self):
         with pytest.raises(ValueError):
-            order_estimate(anharmonic_model(1), SCHEME, 2.0, 0.3, levels=3)
-        with pytest.raises(ValueError):
-            order_estimate(anharmonic_model(1), SCHEME, 2.0, 0.25, levels=1)
+            order_estimate(anharmonic_model(1), SCHEME, 2.0, 0.3)
+
+
+class TestExactOrder:
+    """Orders read off exact Taylor series in h: the last power a leg of N
+    steps matches the exact flow through (tests/series_oracle.py)."""
+
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_oracle_schedules_are_the_catalog_schedules(self, name):
+        integ = named_integrator(name)
+        for exact, flows in zip(SCHEDULES[name], (integ.pre, integ.kernel)):
+            assert [is_drift for is_drift, *_ in exact] == [f.is_drift for f in flows]
+            for (_, *values), f in zip(exact, flows):
+                assert all(math.isclose(float(x), y, rel_tol=1e-15)
+                           for x, y in zip(values, (f.coefficient, f.b_mod, f.c_mod)))
+
+    @pytest.mark.parametrize("n_steps, q5_error", [(3, -0.369), (4, -0.551), (6, -0.915)])
+    def test_rowlands_is_fourth_order(self, n_steps, q5_error):
+        flows = leg(*SCHEDULES["rowlands"], n_steps)
+        assert matched_order(flows, n_steps) == 4
+        assert round(float(error(flows, n_steps, 5)), 3) == q5_error
+
+    @pytest.mark.parametrize("name", ["bare-kernel", *(n for n in INTEGRATOR_NAMES if n != "rowlands")])
+    def test_second_order(self, name):
+        pre, kernel = ([], ROWLANDS_KERNEL) if name == "bare-kernel" else SCHEDULES[name]
+        assert matched_order(leg(pre, kernel, 3), 3) == 2
+
+    def test_perturbed_gamma_1_is_second_order(self):
+        # the float gate, order_estimate, reads this kappa as fourth order
+        pre = rowlands_kappa(KAPPA_GAMMA_1 + Fraction(1, 1000))
+        assert matched_order(leg(pre, ROWLANDS_KERNEL, 4), 4) == 2
+
+    def test_float_flows_read_order_zero(self):
+        # as floats 6/7 + 1/7 != 1, so the h^1 terms already differ
+        def exact(flows):
+            return [(f.is_drift, Fraction(f.coefficient), Fraction(f.b_mod), Fraction(f.c_mod)) for f in flows]
+
+        assert matched_order(leg(exact(SCHEME.pre), exact(SCHEME.kernel), 4), 4) == 0

@@ -5,7 +5,7 @@ import math
 import pytest
 from mpmath import mp, mpf
 
-from symphmc import FlowKind, rho_norm, stability_length
+from symphmc import rho_norm, stability_length
 from symphmc.catalog import INTEGRATOR_NAMES, REFERENCE_ROWS, named_integrator
 
 DIGITS = 50
@@ -18,7 +18,7 @@ def mp_matrix(schedule, h):
     m11, m12, m21, m22 = mpf(1), mpf(0), mpf(0), mpf(1)
     for f in schedule:
         c = mpf(f.coefficient) * h
-        if f.kind is FlowKind.DRIFT:
+        if f.is_drift:
             m11, m12 = m11 + c * m21, m12 + c * m22
             continue
         c *= mpf(f.b_mod) - 2 * mpf(f.c_mod) * h * h
