@@ -82,12 +82,12 @@ def _integrator(text: str) -> str:
 # converter.  `init` has no flag: it is a config key of `tune` only.
 OPTIONS = {
     "integrator": (_integrator, f"integrator name: {', '.join(catalog.INTEGRATOR_NAMES)}"),
-    "dim": (lambda text: whole(int(text), "dim", 1), "target dimension"),
+    "dim": (lambda text: whole(int(text), "the value", 1), "target dimension"),
     "h": (_steps, "step size(s); comma separated where a list is accepted"),
-    "h_grid": (lambda text: whole(int(text), "h_grid", 1), "number of points of the generated step-size grid"),
+    "h_grid": (lambda text: whole(int(text), "the value", 1), "number of points of the generated step-size grid"),
     "leg_time": (_positive, "leg duration N*h"),
-    "samples": (lambda text: whole(int(text), "samples", 1), "chain length (default 5000 up to d=1024, else 1000)"),
-    "seed": (lambda text: whole(int(text), "seed", 0), "base seed; chain i uses seed ^ i"),
+    "samples": (lambda text: whole(int(text), "the value", 1), "chain length (default 5000 up to d=1024, else 1000)"),
+    "seed": (lambda text: whole(int(text), "the value", 0), "base seed; chain i uses seed ^ i"),
     "out": (_out, "output file (default stdout)"),
     "init": (_init, None),
 }
@@ -286,7 +286,9 @@ def cmd_rowlands_order(opts: dict) -> int:
     processed = order_estimate(target, rowlands, t_final, h0)
     bare = order_estimate(target, ProcessedIntegrator(rowlands.kernel, FlowSchedule()), t_final, h0)
     verlet = order_estimate(target, catalog.named_integrator("leapfrog"), t_final, h0)
-    positive = all(f.coefficient > 0 and f.b_mod > 0 and f.c_mod >= 0 for f in (*rowlands.pre, *rowlands.kernel))
+    # a drift or plain kick carries weights (1, 0); a modified kick needs both positive
+    positive = all(f.coefficient > 0 and ((f.b_mod, f.c_mod) == (1.0, 0.0) or min(f.b_mod, f.c_mod) > 0)
+                   for f in (*rowlands.pre, *rowlands.kernel))
 
     # per-leg cost of the modified-potential kicks: gradients and
     # Hessian-vector products are billed separately

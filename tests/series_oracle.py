@@ -11,9 +11,10 @@ Numerical Integration, 2nd ed., 2006, ch. III).
 A flow here is (is_drift, coefficient, b_mod, c_mod) in Fractions, and a
 kick's force is b*V' - 2*h^2*c*V''*V', the gradient of the modified
 potential b*V - h^2*c*V'^2.  The library's schedules hold floats, whose
-sums are not exact (6/7 + 1/7 != 1 as floats), so the named integrators are
-rebuilt here from catalog's Fraction constants and from the exact values of
-the reference rows' floats.
+sums are not exact: as floats 6/7 + 1/7 != 1, so rowlands' float flows,
+read as Fractions, already miss the h^1 term and read order 0.  The named
+integrators are therefore rebuilt here from catalog's Fraction constants
+and from the exact values of the reference rows' floats.
 """
 from fractions import Fraction
 

@@ -90,6 +90,18 @@ class TestSweep:
             run_cli(["sweep", "--help"])
         assert names in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("argv, config, line", [
+        (["--h-grid", "0"], None, 'bad --h-grid value "0": the value must be at least 1, not 0'),
+        ([], {"seed": -1}, "bad config key 'seed' value -1: the value must be at least 0, not -1"),
+    ])
+    def test_count_below_minimum_is_usage_error(self, tmp_path, capsys, argv, config, line):
+        # the four count options convert with int, then splitting.whole
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        assert run_cli(["sweep", "--integrator", "leapfrog", "--dim", "8", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_csv_schema_and_consistency(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run_cli(
@@ -440,13 +452,20 @@ class TestRowlandsOrder:
         assert "PASS" in out
         assert "positive: True" in out
 
-    def test_positivity_reads_the_running_flows(self, monkeypatch, capsys):
-        # gamma_1 negated in kappa's first flow: its kick weight, so the sums, stay
+    @pytest.mark.parametrize("part, c_mod", [
+        ("pre", -float(catalog.KAPPA_GAMMA_1)),  # gamma_1 negated
+        ("pre", 0.0),  # gamma_1 zeroed
+        ("kernel", 0.0),  # the kernel's c zeroed, in both kicks
+    ])
+    def test_positivity_reads_the_running_flows(self, monkeypatch, capsys, part, c_mod):
+        # only c_mod changes, so the kick weight sums, which ProcessedIntegrator checks, stay
         rowlands = catalog.named_integrator("rowlands")
-        first, *rest = rowlands.pre.flows
-        flipped = modified_kick(first.coefficient, first.b_mod, -first.c_mod)
+        schedules = {"pre": rowlands.pre, "kernel": rowlands.kernel}
+        old = schedules[part].flows[0]  # a modified kick in both
+        new = modified_kick(old.coefficient, old.b_mod, c_mod)
+        schedules[part] = FlowSchedule(tuple(new if f == old else f for f in schedules[part]))
         monkeypatch.setitem(catalog._INTEGRATORS, "rowlands",
-                            ProcessedIntegrator(rowlands.kernel, FlowSchedule((flipped, *rest))))
+                            ProcessedIntegrator(schedules["kernel"], schedules["pre"]))
         assert run_cli(["rowlands-order"]) == 1  # the order gate fails too
         assert "all substep coefficients positive: False\n" in capsys.readouterr().out
 
