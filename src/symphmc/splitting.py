@@ -12,17 +12,15 @@ N - 2 times instead of N, so it always spans N*h.  Processed, fourth-order
 and Verlet legs all run through integrate_leg.
 
 A leg lowers each schedule once to plain (is_drift, c*h, b_mod,
-2*c_mod*h^2) tuples, dropping zero-coefficient flows, and the executor
-moves its own copies of q and p in place through one scratch buffer, with
-the same roundings as the allocating q + (c*h)*p and p - (c*h)*force.
-A kick whose tuple equals the previous kick's, with no drift between,
-subtracts the scaled force again, so the second of the half kicks that
-meet at each kernel step boundary costs one array pass instead of two.
+2*c_mod*h^2) tuples, dropping zero-coefficient flows, and runs them through
+the one executor, _run_flows, which alone decides when a gradient or a
+Hessian-vector product is evaluated; leg_gradient_count counts by running it.
 """
 from __future__ import annotations
 
 import math
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -121,9 +119,6 @@ class FlowSchedule:
 
     def __iter__(self) -> Iterator[ElementaryFlow]:
         return iter(self.flows)
-
-    def __len__(self) -> int:
-        return len(self.flows)
 
     def adjoint(self) -> "FlowSchedule":
         """Exact flows are self-adjoint, so adjoining just reverses the order."""
@@ -265,6 +260,12 @@ def _run_flows(
     return q, p
 
 
+def _leg_steps(integ: ProcessedIntegrator, h: float, kernel_steps: int) -> Iterator[tuple]:
+    """A leg's lowered flows: pre, the kernel's tuple repeated lazily, post."""
+    kernel = chain.from_iterable(repeat(_lower(integ.kernel, h), kernel_steps))
+    return chain(_lower(integ.pre, h), kernel, _lower(integ.post, h))
+
+
 def integrate_leg(
     state: PhaseState,
     h: float,
@@ -276,49 +277,46 @@ def integrate_leg(
 
     Each schedule is lowered once per leg and the kernel's lowered steps are
     repeated lazily.  Returns the final state, in new arrays.  The target's
-    grad_evals and hess_evals counters record what the leg consumed;
-    leg_gradient_count gives the same total in closed form.
+    grad_evals and hess_evals counters record what the leg consumed, the
+    total leg_gradient_count reads off a leg of at most two kernel steps.
     """
     kernel_steps = integ.kernel_steps(n_steps)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("h must be positive and finite")
     if state.dim != target.dim:
         raise ValueError(f"state dimension {state.dim} != target dimension {target.dim}")
-    kernel = chain.from_iterable(repeat(_lower(integ.kernel, h), kernel_steps))
-    steps = chain(_lower(integ.pre, h), kernel, _lower(integ.post, h))
-    return PhaseState(*_run_flows(state.q, state.p, steps, target))
+    return PhaseState(*_run_flows(state.q, state.p, _leg_steps(integ, h, kernel_steps), target))
 
 
-def _fused_count(flows: Iterable[ElementaryFlow], grad_held: bool, hvp_held: bool) -> tuple[int, bool, bool]:
-    """Evaluations the flows, lowered as the executor runs them, consume from
-    the given cache state (gradient held, Hessian-vector product held), a
-    product billed as one gradient, and the cache state they leave."""
-    count = 0
-    for is_drift, _, _, c2h2 in _lower(flows, 1.0):
-        if is_drift:
-            grad_held = hvp_held = False
-            continue
-        if not grad_held:
-            count, grad_held = count + 1, True
-        if c2h2 is not None and not hvp_held:
-            count, hvp_held = count + 1, True
-    return count, grad_held, hvp_held
+class _EvaluationProbe:
+    """Counts gradient and Hessian-vector calls; no TargetModel, so no target's counters move."""
+    evaluations = 0
+
+    def _count(self, q: np.ndarray, *_: np.ndarray) -> np.ndarray:
+        self.evaluations += 1
+        return q
+
+    gradient = hessian_vec = _count
 
 
 def leg_gradient_count(integ: ProcessedIntegrator, n_steps: int) -> int:
-    """Evaluations a leg of N steps will consume, each Hessian-vector
-    product billed as one gradient, from the schedule alone: 3N+5 for the
-    processed family, 3N+1 with empty or zero processors, N+1 for leapfrog and
-    2N+4 (N+3 gradients, N+1 products) for the fourth-order scheme at N >= 3.
+    """Evaluations a leg of N steps will consume, each Hessian-vector product
+    billed as one gradient: 3N+5 for the processed family, 3N+1 with empty or
+    zero processors, N+1 for leapfrog and 2N+4 (N+3 gradients, N+1 products)
+    for the fourth-order scheme at N >= 3.
 
-    A kernel's drifts sum to 1, so every kernel step contains a drift and
-    leaves the same cache state whatever state it starts from: kernel steps
-    2..N - 2*folded all cost the same, and the count takes O(1) work in N.
+    The executor counts them on probe legs of 0 or 1 and of 2 kernel steps.
+    Every kernel step contains a drift (its drifts sum to 1), so it leaves
+    the same cache state from any state: steps 2..N - 2*folded all cost what
+    the second does, and the count takes O(1) work in N.
     """
+    def cost(kernel_steps: int) -> int:
+        probe = _EvaluationProbe()
+        # the executor branches on the flows alone: a 2*c_mod*h^2 that overflowed spoils values, not the count
+        with suppress(NonFiniteState), np.errstate(invalid="ignore"):
+            _run_flows(np.zeros(1), np.zeros(1), _leg_steps(integ, 1.0, kernel_steps), probe)
+        return probe.evaluations
+
     kernel_steps = integ.kernel_steps(n_steps)
-    count, *held = _fused_count(integ.pre, False, False)
-    if kernel_steps > 0:
-        first, *held = _fused_count(integ.kernel, *held)
-        steady, *_ = _fused_count(integ.kernel, *held)
-        count += first + (kernel_steps - 1) * steady
-    return count + _fused_count(integ.post, *held)[0]
+    first = cost(min(kernel_steps, 1))
+    return first + max(kernel_steps - 1, 0) * (cost(2) - first)

@@ -68,8 +68,8 @@ class TestSweep:
         assert run_cli(["sweep"]) == 2
 
     def test_rowlands_sweep_bills_hessian_vector_products(self, tmp_path):
-        # the fast path's closed-form count equals what the generic path's
-        # target counts, N + 3 gradients plus N + 1 Hessian-vector products
+        # the fast path's count, the executor's on a probe leg, equals what the
+        # generic path's target counts: N + 3 gradients, N + 1 Hessian-vector products
         out = tmp_path / "rowlands.csv"
         args = ["sweep", "--integrator", "rowlands", "--dim", "16", "--samples", "40", "--h", "0.05,0.1"]
         assert run_cli(args + ["--seed", "3", "--out", str(out)]) == 0

@@ -231,7 +231,7 @@ class TestProcessedIntegrator:
 
     @pytest.mark.parametrize("n_steps", [10.0, np.float64(10.0), 10.5, True, np.bool_(True), "10"])
     def test_non_integer_step_count_is_rejected(self, n_steps):
-        # the closed-form count and the leg fail the same way, naming N
+        # the count and the leg fail the same way, naming N
         integ = named_integrator("proc-3.0")
         message = re.escape(f"N={n_steps!r}")
         with pytest.raises(TypeError, match=message):
@@ -315,6 +315,35 @@ def unfused_leg(state, h, n_steps, integ, target):
     return PhaseState(q, p)
 
 
+def with_zero_modified_kick():
+    # a zero-coefficient modified kick right after a drift is dropped before
+    # the executor: it bills no gradient and no Hessian-vector product
+    integ = named_integrator("proc-3.0")
+    kd, dc, *rest = integ.pre
+    return ProcessedIntegrator(integ.kernel, FlowSchedule((kd, dc, modified_kick(0.0, 0.5, 1 / 48), *rest)))
+
+
+# a kernel that starts with a drift, bare, processed, and inside a folded
+# preprocessor that also starts with a drift
+DRIFT_FIRST = FlowSchedule((drift(0.5), kick(1.0), drift(0.5)))
+EXTRA_SHAPES = {
+    "proc-3.0+zero-modified-kick": with_zero_modified_kick,
+    "drift-first": lambda: ProcessedIntegrator(DRIFT_FIRST, FlowSchedule()),
+    "drift-first+processor": lambda: ProcessedIntegrator(DRIFT_FIRST, build_processor(0.1, -0.07)),
+    "drift-first+folded": lambda: ProcessedIntegrator(
+        DRIFT_FIRST, FlowSchedule((drift(0.5), kick(0.6), drift(0.5), kick(0.4)))
+    ),
+}
+
+# each named integrator's smallest N and its leg's evaluations as a function of N
+LEG_COUNTS = {
+    "leapfrog": (1, lambda n: n + 1),
+    "blcasa": (1, lambda n: 3 * n + 1),
+    **{name: (1, lambda n: 3 * n + 5) for name in ("proc-3.0", "proc-3.5", "proc-4.0", "proc-4.5")},
+    "rowlands": (2, lambda n: 6 if n == 2 else 2 * n + 4),
+}
+
+
 class TestGradientCounts:
     @pytest.mark.parametrize(
         "name, n_steps, expected",
@@ -335,7 +364,7 @@ class TestGradientCounts:
         integ = named_integrator(name)
         assert leg_gradient_count(integ, n_steps) == expected
         if n_steps > 1000:
-            return  # the count is closed form; a leg this long is not run
+            return  # the count runs at most two kernel steps; a leg this long is not
         tgt = gaussian_model(3)
         s0 = PhaseState(np.array([0.1, 0.2, 0.3]), np.array([-0.2, 0.4, 0.0]))
         integrate_leg(s0, 0.02, n_steps, integ, tgt)
@@ -346,26 +375,43 @@ class TestGradientCounts:
         "n_steps, name",
         [
             (n, name)
-            for name in (*INTEGRATOR_NAMES, "proc-3.0+zero-modified-kick")
+            for name in (*INTEGRATOR_NAMES, *EXTRA_SHAPES)
             for n in (1, 2, 3, 10, 1001)
-            if (name, n) != ("rowlands", 1)
+            if n > 1 or name not in ("rowlands", "drift-first+folded")
         ],
     )
     def test_closed_form_matches_walk(self, n_steps, name):
-        if name == "proc-3.0+zero-modified-kick":
-            # a zero-coefficient modified kick right after a drift is dropped
-            # before the executor: it bills no gradient and no Hessian-vector product
-            integ = named_integrator("proc-3.0")
-            kd, dc, *rest = integ.pre
-            integ = ProcessedIntegrator(integ.kernel, FlowSchedule((kd, dc, modified_kick(0.0, 0.5, 1 / 48), *rest)))
-        else:
-            integ = named_integrator(name)
+        integ = EXTRA_SHAPES[name]() if name in EXTRA_SHAPES else named_integrator(name)
         walked = walked_gradient_count(integ, n_steps)
         assert leg_gradient_count(integ, n_steps) == walked
         tgt = anharmonic_model(3)
         s0 = PhaseState(np.array([0.1, 0.2, 0.3]), np.array([-0.2, 0.4, 0.0]))
         integrate_leg(s0, 0.01, n_steps, integ, tgt)
         assert tgt.grad_evals + tgt.hess_evals == walked
+
+    def test_count_evaluates_no_target(self, monkeypatch):
+        # the count runs the executor on a probe, never on a TargetModel, so
+        # a tracer that wraps TargetModel.gradient sees no calls from it
+        def refuse(*args):
+            raise AssertionError("the count evaluated a target")
+
+        monkeypatch.setattr(TargetModel, "gradient", refuse)
+        monkeypatch.setattr(TargetModel, "hessian_vec", refuse)
+        for name in INTEGRATOR_NAMES:
+            first, count = LEG_COUNTS[name]
+            integ = named_integrator(name)
+            for n in (*range(first, 61), 10**9):
+                assert leg_gradient_count(integ, n) == count(n), (name, n)
+        cfg = HmcConfig(0.1, 20, 5, named_integrator("proc-3.0"))
+        _, stats = hmc_run(gaussian_model(8), cfg, use_fast_path=True)
+        assert stats.grad_evals == 20 * (3 * cfg.n_steps + 5)
+
+    def test_count_survives_an_overflowing_modified_kick(self):
+        # 2*c_mod*h^2 is inf at every h, so the probe leg ends non-finite,
+        # silently: a RuntimeWarning would fail this test
+        big = modified_kick(0.5, 1.0, 1e308)
+        integ = ProcessedIntegrator(FlowSchedule((big, drift(1.0), big)), FlowSchedule())
+        assert leg_gradient_count(integ, 10) == walked_gradient_count(integ, 10) == 22
 
     @given(
         st.floats(min_value=0.2, max_value=0.49),
