@@ -30,10 +30,6 @@ USAGE_ERROR = 2
 SWEEP_CSV_HEADER = "integrator,d,h,N,grad_per_leg,accepted,proposed,acceptance_pct,accept_per_grad,seed"
 
 
-class CliUsageError(Exception):
-    pass
-
-
 def _fmt(x: float) -> str:
     """17 significant digits: lossless float round trip."""
     return format(float(x), ".17g")
@@ -115,12 +111,12 @@ def _read_config(path: Optional[str], names: Sequence[str]) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             values = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise CliUsageError(f"cannot read config {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(values, dict):
-        raise CliUsageError(f"config {path!r} must hold a JSON object")
+        raise ValueError(f"config {path!r} must hold a JSON object")
     unknown = set(values) - set(names)
     if unknown:
-        raise CliUsageError(f"config keys this command does not take: {sorted(unknown)}")
+        raise ValueError(f"config keys this command does not take: {sorted(unknown)}")
     return values
 
 
@@ -143,13 +139,13 @@ def _options(args: argparse.Namespace) -> dict:
         try:
             opts[name] = convert(_flag_text(raw))
         except ValueError as exc:
-            raise CliUsageError(f"bad {where} value {json.dumps(raw)}: {exc}") from exc
+            raise ValueError(f"bad {where} value {json.dumps(raw)}: {exc}") from exc
     return opts
 
 
 def _single_h(steps: list[float]) -> float:
     if len(steps) != 1:
-        raise CliUsageError("this command takes a single --h value")
+        raise ValueError("this command takes a single --h value")
     return steps[0]
 
 
@@ -158,7 +154,7 @@ def _workers(n_jobs: int) -> int:
     try:
         cap = n_jobs if cap is None else int(cap)
     except ValueError as exc:
-        raise CliUsageError(f"SYMPHMC_THREADS must be an integer, got {cap!r}") from exc
+        raise ValueError(f"SYMPHMC_THREADS must be an integer, got {cap!r}") from exc
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(usable, n_jobs, cap))
 
@@ -171,7 +167,7 @@ def _write_text(out: Optional[str], text: str) -> None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliUsageError(f"cannot write {out!r}: {exc}") from exc
+        raise ValueError(f"cannot write {out!r}: {exc}") from exc
 
 
 def default_h_grid(name: str, dim: int, points: int = 12) -> list[float]:
@@ -217,7 +213,7 @@ def cmd_stability(opts: dict) -> int:
 def cmd_sweep(opts: dict) -> int:
     name = opts.get("integrator")
     if name is None:
-        raise CliUsageError("sweep requires --integrator")
+        raise ValueError("sweep requires --integrator")
     dim = opts["dim"]
     samples = opts.get("samples", 5000 if dim <= 1024 else 1000)
     h_values = opts.get("h")
@@ -247,12 +243,12 @@ def cmd_tune(opts: dict) -> int:
         row = catalog.row_by_name(name)
         seed_params = (row.b, row.c, row.d)
     else:
-        raise CliUsageError("tune needs --integrator <row> or a config with 'init': [b, c, d]")
+        raise ValueError("tune needs --integrator <row> or a config with 'init': [b, c, d]")
 
     result = tune(hbar, seed_params)
     if result.rho_norm < np.finfo(float).eps ** 2:
-        raise CliUsageError(f"hbar={hbar} is too small: the tuned rho_norm {result.rho_norm:.6e} is below eps^2, "
-                            "so (b, c, d) follow rounding noise")
+        raise ValueError(f"hbar={hbar} is too small: the tuned rho_norm {result.rho_norm:.6e} is below eps^2, "
+                         "so (b, c, d) follow rounding noise")
     print(f"hbar={hbar}: b={_fmt(result.b)} c={_fmt(result.c)} d={_fmt(result.d)}")
     print(f"rho_norm={result.rho_norm:.6e} at_hbar={result.rho_at_hbar:.6e} "
           f"interior_peak={result.interior_peak:.6e} evaluations={len(result.trace)}")
@@ -266,7 +262,7 @@ def cmd_tune(opts: dict) -> int:
 def cmd_rho_scan(opts: dict) -> int:
     name = opts.get("integrator")
     if name is None:
-        raise CliUsageError("rho-scan requires --integrator")
+        raise ValueError("rho-scan requires --integrator")
     integ = catalog.named_integrator(name)
     h_max = _single_h(opts["h"]) if "h" in opts else catalog.scan_budget(name)
     hs = np.linspace(h_max / opts["h_grid"], h_max, opts["h_grid"])
@@ -293,7 +289,7 @@ def cmd_rowlands_order(opts: dict) -> int:
     # per-leg cost of the modified-potential kicks: gradients and
     # Hessian-vector products are billed separately
     cost_target = target.fresh()
-    n_cost = max(4, round(t_final / h0))
+    n_cost = round(t_final / h0)
     rowlands_leg(PhaseState(np.full(1, 0.4), np.full(1, 0.3)), h0, n_cost, cost_target)
     ok = all(3.5 <= v <= 4.5 for v in processed) and all(1.7 <= v <= 2.3 for v in bare) and positive
     print(f"processed scheme orders: {[round(v, 3) for v in processed]} (target 4)")
@@ -345,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(_options(args))
-    except (CliUsageError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NoDescent as exc:

@@ -2,7 +2,7 @@
 
 
 class DegenerateParameter(ValueError):
-    """Kernel parameter sits on the singular surface 6b - 1 = 0."""
+    """Kernel parameter b sits on the singular surface 6.0*b - 1.0 == 0.0, or is not finite."""
 
 
 class NonFiniteState(ArithmeticError):

@@ -27,9 +27,7 @@ def rowlands_leg(state: PhaseState, h: float, n_steps: int, target: TargetModel)
     return integrate_leg(state, h, n_steps, _ROWLANDS, target)
 
 
-def order_estimate(
-    target: TargetModel, integ: ProcessedIntegrator, t_final: float = 2.0, h0: float = 0.25
-) -> list[float]:
+def order_estimate(target: TargetModel, integ: ProcessedIntegrator, t_final: float, h0: float) -> list[float]:
     """Observed convergence orders of integ's legs at steps h0, h0/2, h0/4
     and h0/8, from q = 0.4, p = 0.3 in every coordinate.
 

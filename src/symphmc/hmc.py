@@ -104,7 +104,7 @@ def energy(target: TargetModel, state: PhaseState) -> float:
 def hmc_run(
     target: TargetModel,
     cfg: HmcConfig,
-    use_fast_path: bool | None = None,
+    use_fast_path: bool = True,
     *,
     positions: bool = True,
 ) -> tuple[np.ndarray | None, ChainStats]:
@@ -115,17 +115,14 @@ def hmc_run(
     chain statistics.  With positions=False no positions are stored and the
     first item is None; the statistics are the same.  A leg that leaves the
     floating-point range is treated as dH = +inf (certain rejection), never
-    a crash.  Fully deterministic given (target, cfg).
+    a crash.  Fully deterministic given (target, cfg).  The per-mode fast
+    path runs whenever the target is a GaussianModel, unless use_fast_path=False.
     """
     tgt = target.fresh()
     gaussian = isinstance(tgt, GaussianModel)
-    fast = gaussian if use_fast_path is None else bool(use_fast_path)
-    if fast and not gaussian:
-        raise ValueError("fast path requires a Gaussian target")
-
     rng = np.random.default_rng(cfg.seed)
     q0 = tgt.exact_sample(rng) if gaussian else np.zeros(tgt.dim)
-    if fast:
+    if use_fast_path and gaussian:
         return _run_fast(tgt, cfg, rng, q0, positions)
     return _run_generic(tgt, cfg, rng, q0, positions)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -33,9 +32,8 @@ from .errors import DegenerateParameter, InsufficientSteps, NonFiniteState
 if TYPE_CHECKING:
     from .targets import TargetModel
 
-# Consistency sums (drift weights and kick weights of a kernel must equal 1,
-# those of a preprocessor must both vanish or both equal 1) are enforced to
-# this tolerance.
+# Consistency sums (a kernel's drift and kick weights equal 1, a preprocessor's
+# both 0 or both 1) hold to this tolerance, or to it relative to their terms.
 CONSISTENCY_TOL = 1e-14
 
 
@@ -53,7 +51,8 @@ def whole(value, what: str, minimum: int, short: type = ValueError) -> int:
 @dataclass(frozen=True)
 class ElementaryFlow:
     """One exact sub-flow, a drift or a kick: step coefficient and the kick's
-    weights (b_mod, c_mod) in b*V - h^2*c*|grad V|^2, (1, 0) for a plain kick."""
+    weights (b_mod, c_mod) in b*V - h^2*c*|grad V|^2, (1, 0) for a plain kick.
+    All finite, 2*c_mod too: a leg lowers it to (2*c_mod)*h^2, inf at every h if 2*c_mod is."""
 
     is_drift: bool
     coefficient: float
@@ -67,8 +66,8 @@ class ElementaryFlow:
             object.__setattr__(self, "c_mod", float(self.c_mod))
         if not math.isfinite(self.coefficient):
             raise ValueError("flow coefficient must be finite")
-        if not (math.isfinite(self.b_mod) and math.isfinite(self.c_mod)):
-            raise ValueError("flow (b_mod, c_mod) must be finite")
+        if not (math.isfinite(self.b_mod) and math.isfinite(2.0 * self.c_mod)):
+            raise ValueError("flow b_mod and 2*c_mod must be finite")
 
 
 def drift(coefficient: float) -> ElementaryFlow:
@@ -127,11 +126,19 @@ class FlowSchedule:
     def is_palindromic(self) -> bool:
         return self.flows == tuple(reversed(self.flows))
 
-    def drift_sum(self) -> float:
-        return math.fsum(f.coefficient for f in self.flows if f.is_drift)
+    def weights(self, drifts: bool) -> list[float]:
+        """The drifts' coefficients, or the kicks' weights coefficient*b_mod."""
+        if drifts:
+            return [f.coefficient for f in self.flows if f.is_drift]
+        return [f.coefficient * f.b_mod for f in self.flows if not f.is_drift]
 
-    def kick_weight_sum(self) -> float:
-        return math.fsum(f.coefficient * f.b_mod for f in self.flows if not f.is_drift)
+
+def _sums_to(terms: list[float], target: float) -> bool:
+    """fsum(terms) is target within CONSISTENCY_TOL, or within it times n*max|term|,
+    which bounds the roundings the n terms carry (1 - 2a, 0.5 - b).  That scale is
+    formed only if needed and never overflows; an infinite sum never passes."""
+    miss = abs(math.fsum(terms) - target)
+    return miss <= CONSISTENCY_TOL or miss < CONSISTENCY_TOL * len(terms) * max(map(abs, terms), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,8 @@ class ProcessedIntegrator:
     symmetry.  The preprocessor's sums are both 0 (a pure processor) or
     both 1: one kernel step is folded into it, as in
     kappa = kernel . processor.  A leg of N steps then runs the kernel
-    N - 2*folded times and always spans N*h.
+    N - 2*folded times and always spans N*h.  Sums are checked relative to
+    their terms (_sums_to): large coefficients' rounding is no inconsistency.
     """
 
     kernel: FlowSchedule
@@ -152,9 +160,9 @@ class ProcessedIntegrator:
     def __post_init__(self) -> None:
         if not self.kernel.is_palindromic():
             raise ValueError("the kernel must be palindromic")
-        if abs(self.kernel.drift_sum() - 1.0) > CONSISTENCY_TOL:
+        if not _sums_to(self.kernel.weights(True), 1.0):
             raise ValueError("kernel drift coefficients must sum to 1")
-        if abs(self.kernel.kick_weight_sum() - 1.0) > CONSISTENCY_TOL:
+        if not _sums_to(self.kernel.weights(False), 1.0):
             raise ValueError("kernel kick weights must sum to 1")
         self.folded  # raises unless the preprocessor sums are both 0 or both 1
 
@@ -165,9 +173,9 @@ class ProcessedIntegrator:
     @cached_property
     def folded(self) -> int:
         """Kernel steps folded into the preprocessor, 0 or 1, read off its sums."""
-        sums = (self.pre.drift_sum(), self.pre.kick_weight_sum())
+        terms = (self.pre.weights(True), self.pre.weights(False))
         for folded in (0, 1):
-            if all(abs(s - folded) <= CONSISTENCY_TOL for s in sums):
+            if all(_sums_to(t, folded) for t in terms):
                 return folded
         raise ValueError("processor drift and kick-weight sums must both be 0, or both be 1")
 
@@ -179,15 +187,15 @@ class ProcessedIntegrator:
 
 def build_kernel(b: float) -> FlowSchedule:
     """Two-stage palindromic kernel (1/2-b, a, b, 1-2a, b, a, 1/2-b) with
-    a = b/(6b-1), the only choice giving a usable stability interval."""
+    a = b/(6b-1), the only choice giving a usable stability interval.  Raises
+    DegenerateParameter exactly where 6.0*b - 1.0 == 0.0 or b is not finite;
+    any other b gives finite coefficients: |6b - 1| >= ~1.1e-16 next to 1/6,
+    so |a| <= ~1.5e15, and past |b| ~ 3e307 6b - 1 is inf, so a = 0."""
     b = float(b)
     den = 6.0 * b - 1.0
-    if abs(den) < 1e-12:
-        raise DegenerateParameter(f"6b - 1 vanishes for b = {b}")
+    if den == 0.0 or not math.isfinite(b):
+        raise DegenerateParameter(f"6b - 1 vanishes or b is not finite for b = {b}")
     a = b / den
-    coeffs = (0.5 - b, a, b, 1.0 - 2.0 * a, b, a, 0.5 - b)
-    if any(not math.isfinite(x) for x in coeffs):
-        raise DegenerateParameter(f"non-finite kernel coefficients for b = {b}")
     # one object per distinct flow, so the palindrome check compares identities
     outer, inner, middle = kick(0.5 - b), drift(a), kick(b)
     return FlowSchedule((outer, inner, middle, drift(1.0 - 2.0 * a), middle, inner, outer))
@@ -305,16 +313,15 @@ def leg_gradient_count(integ: ProcessedIntegrator, n_steps: int) -> int:
     zero processors, N+1 for leapfrog and 2N+4 (N+3 gradients, N+1 products)
     for the fourth-order scheme at N >= 3.
 
-    The executor counts them on probe legs of 0 or 1 and of 2 kernel steps.
-    Every kernel step contains a drift (its drifts sum to 1), so it leaves
-    the same cache state from any state: steps 2..N - 2*folded all cost what
-    the second does, and the count takes O(1) work in N.
+    The executor counts them on probe legs of 0 or 1 and of 2 kernel steps,
+    at h = 1 from q = p = 0, a fixed point of every flow that builds.  Every
+    kernel step contains a drift (its drifts sum to 1), so it leaves the
+    same cache state from any state: steps 2..N - 2*folded all cost what the
+    second does, and the count takes O(1) work in N.
     """
     def cost(kernel_steps: int) -> int:
         probe = _EvaluationProbe()
-        # the executor branches on the flows alone: a 2*c_mod*h^2 that overflowed spoils values, not the count
-        with suppress(NonFiniteState), np.errstate(invalid="ignore"):
-            _run_flows(np.zeros(1), np.zeros(1), _leg_steps(integ, 1.0, kernel_steps), probe)
+        _run_flows(np.zeros(1), np.zeros(1), _leg_steps(integ, 1.0, kernel_steps), probe)
         return probe.evaluations
 
     kernel_steps = integ.kernel_steps(n_steps)

@@ -37,7 +37,8 @@ class TuneResult:
 
 def evaluate(b: float, c: float, d: float, hbar: float) -> float:
     """rho_norm of the (b, c, d) family member; +inf when unstable inside
-    (0, hbar].  Raises DegenerateParameter at 6b - 1 = 0."""
+    (0, hbar].  Raises DegenerateParameter exactly where 6.0*b - 1.0 == 0.0:
+    every other finite (b, c, d) builds, so it returns a float."""
     return rho_norm(processed_family(b, c, d), hbar)
 
 

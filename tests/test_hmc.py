@@ -144,12 +144,6 @@ class TestHmcRun:
             assert stats.grad_evals == runs[0][1].grad_evals
             assert np.max(np.abs(samples - runs[0][0])) <= 1e-10
 
-    def test_fast_path_rejected_for_nonlinear_target(self):
-        tgt = anharmonic_model(2)
-        cfg = HmcConfig(h=0.2, n_samples=3, seed=0, integrator=ROW2)
-        with pytest.raises(ValueError):
-            hmc_run(tgt, cfg, use_fast_path=True)
-
     def test_nonlinear_target_chain(self):
         # no exact sampler: the chain starts at the origin and mixes from there
         cfg = HmcConfig(h=0.25, n_samples=400, seed=6, integrator=ROW2, leg_time=5.0)

@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -85,14 +87,16 @@ class TestBuildKernel:
             drift(float("nan"))
         with pytest.raises(ValueError):
             modified_kick(1.0, float("inf"), 0.0)
+        with pytest.raises(ValueError, match="2\\*c_mod"):  # finite, but 2*c_mod*h^2 is inf at every h
+            modified_kick(0.5, 1.0, 1e308)
         with pytest.raises(TypeError):
             FlowSchedule((1.0, 2.0))
 
     @given(st.floats(min_value=0.2, max_value=0.49))
     def test_consistency_sums(self, b):
         kernel = build_kernel(b)
-        assert abs(kernel.drift_sum() - 1.0) <= 1e-14
-        assert abs(kernel.kick_weight_sum() - 1.0) <= 1e-14
+        assert abs(math.fsum(kernel.weights(True)) - 1.0) <= 1e-14
+        assert abs(math.fsum(kernel.weights(False)) - 1.0) <= 1e-14
 
     def test_palindromic(self):
         assert build_kernel(0.348674).is_palindromic()
@@ -101,8 +105,8 @@ class TestBuildKernel:
 class TestBuildProcessor:
     def test_zero_sums_exact(self):
         pre = build_processor(-0.075640, 0.069720)
-        assert pre.drift_sum() == 0.0
-        assert pre.kick_weight_sum() == 0.0
+        assert math.fsum(pre.weights(True)) == 0.0
+        assert math.fsum(pre.weights(False)) == 0.0
 
     def test_action_order(self):
         c, d = -0.07564, 0.06972
@@ -286,7 +290,7 @@ def walked_gradient_count(integ, n_steps):
     """Reference count: walk every flow of the fused leg, O(N), billing each
     Hessian-vector product as one gradient.  A preprocessor whose drifts
     sum to 1 holds one folded kernel step."""
-    folded = round(integ.pre.drift_sum())
+    folded = round(math.fsum(integ.pre.weights(True)))
     flows = (*integ.pre, *(integ.kernel.flows * (n_steps - 2 * folded)), *integ.post)
     count = 0
     grad_cached = hvp_cached = False
@@ -406,12 +410,14 @@ class TestGradientCounts:
         _, stats = hmc_run(gaussian_model(8), cfg, use_fast_path=True)
         assert stats.grad_evals == 20 * (3 * cfg.n_steps + 5)
 
-    def test_count_survives_an_overflowing_modified_kick(self):
-        # 2*c_mod*h^2 is inf at every h, so the probe leg ends non-finite,
-        # silently: a RuntimeWarning would fail this test
-        big = modified_kick(0.5, 1.0, 1e308)
+    def test_count_of_the_largest_modified_kick(self):
+        # 2*c_mod = 1.78e308 is the largest that builds; the probe leg at
+        # h = 1 stays at q = p = 0, warning nothing
+        big = modified_kick(0.5, 1.0, 8.9e307)
         integ = ProcessedIntegrator(FlowSchedule((big, drift(1.0), big)), FlowSchedule())
-        assert leg_gradient_count(integ, 10) == walked_gradient_count(integ, 10) == 22
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert leg_gradient_count(integ, 10) == walked_gradient_count(integ, 10) == 22
 
     @given(
         st.floats(min_value=0.2, max_value=0.49),

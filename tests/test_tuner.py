@@ -17,6 +17,12 @@ ROW2_SEED = (ROW2.b, ROW2.c, ROW2.d)
 ROW5 = row_by_name("proc-4.5")
 ROW5_SEED = (ROW5.b, ROW5.c, ROW5.d)
 
+# Kernel parameters b: 4,001 log-spaced magnitudes over the finite range,
+# both signs, and 20,001 points spanning 1/6 +- 2e-3 (1/6 itself included).
+_MAGNITUDES = np.logspace(-320, math.log10(1.7e308), 4001)
+B_SETS = {"log-spaced": np.concatenate([_MAGNITUDES, -_MAGNITUDES]),
+          "near-one-sixth": np.linspace(1 / 6 - 2e-3, 1 / 6 + 2e-3, 20001)}
+
 
 class TestEvaluate:
     def test_row2_parameters(self):
@@ -39,6 +45,21 @@ class TestEvaluate:
 
     def test_unstable_budget_is_inf(self):
         assert evaluate(*ROW2_SEED, 1000.0) == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(B_SETS))
+    def test_every_finite_b_builds_off_the_singular_surface(self, name):
+        # each member is built; every 25th is also evaluated, at ~0.3 ms each
+        for i, b in enumerate(B_SETS[name].tolist()):
+            on_surface = 6.0 * b - 1.0 == 0.0
+            try:
+                processed_family(b, -0.07, 0.07)
+            except DegenerateParameter:
+                assert on_surface, b
+                continue
+            assert not on_surface, b
+            if i % 25 == 0:
+                assert isinstance(evaluate(b, -0.07, 0.07, 3.0), float), b
 
 
 class TestTune:
