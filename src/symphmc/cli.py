@@ -1,9 +1,9 @@
 """Benchmark command line.
 
-Each subcommand takes only the options it reads, as flags or as keys of a
-JSON object given with --config; flags win over config values.  Exit codes:
-0 success/pass, 1 acceptance failure, 2 usage error.  The environment
-variable SYMPHMC_THREADS caps the sweep worker pool.
+Each subcommand takes only the options it reads, each as a flag.  Exit
+codes: 0 success/pass, 1 acceptance failure, 2 usage error (a request too
+large to allocate included).  The environment variable SYMPHMC_THREADS caps
+the sweep worker pool.
 """
 from __future__ import annotations
 
@@ -73,9 +73,8 @@ def _integrator(text: str) -> str:
     return text
 
 
-# Each option's converter and flag help.  A flag's text, a config value (as
-# the text the flag would carry) and a default all pass through the one
-# converter.  `init` has no flag: it is a config key of `tune` only.
+# Each option's converter and flag help.  A flag's text and a default both
+# pass through the one converter.
 OPTIONS = {
     "integrator": (_integrator, f"integrator name: {', '.join(catalog.INTEGRATOR_NAMES)}"),
     "dim": (lambda text: whole(int(text), "the value", 1), "target dimension"),
@@ -85,59 +84,24 @@ OPTIONS = {
     "samples": (lambda text: whole(int(text), "the value", 1), "chain length (default 5000 up to d=1024, else 1000)"),
     "seed": (lambda text: whole(int(text), "the value", 0), "base seed; chain i uses seed ^ i"),
     "out": (_out, "output file (default stdout)"),
-    "init": (_init, None),
+    "init": (_init, "seed b,c,d in place of the --integrator row's; write --init=b,c,d when b is negative"),
 }
 
 
-def _flag_text(value) -> str:
-    """The text a flag would carry for a JSON config value."""
-
-    def number(v) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    if isinstance(value, str):
-        return value
-    if number(value):
-        return repr(value)
-    if isinstance(value, list) and all(map(number, value)):
-        return ",".join(map(repr, value))
-    raise ValueError("expected a number, a string or a list of numbers")
-
-
-def _read_config(path: Optional[str], names: Sequence[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            values = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
-    if not isinstance(values, dict):
-        raise ValueError(f"config {path!r} must hold a JSON object")
-    unknown = set(values) - set(names)
-    if unknown:
-        raise ValueError(f"config keys this command does not take: {sorted(unknown)}")
-    return values
-
-
 def _options(args: argparse.Namespace) -> dict:
-    """The command's options, converted: from its flag, else its config key,
-    else its default; an option with none of these is left out."""
-    config = _read_config(args.config, list(args.defaults))
+    """The command's options, converted: from its flag, else its default; an
+    option with neither is left out."""
     opts = {}
     for name, default in args.defaults.items():
-        flag = getattr(args, name, None)
+        flag = getattr(args, name)
         if flag is not None:
             raw, where = flag, "--" + name.replace("_", "-")
-        elif name in config:
-            raw, where = config[name], f"config key {name!r}"
         elif default is not None:
             raw, where = default, "default"
         else:
             continue
-        convert = OPTIONS[name][0]
         try:
-            opts[name] = convert(_flag_text(raw))
+            opts[name] = OPTIONS[name][0](raw)
         except ValueError as exc:
             raise ValueError(f"bad {where} value {json.dumps(raw)}: {exc}") from exc
     return opts
@@ -243,7 +207,7 @@ def cmd_tune(opts: dict) -> int:
         row = catalog.row_by_name(name)
         seed_params = (row.b, row.c, row.d)
     else:
-        raise ValueError("tune needs --integrator <row> or a config with 'init': [b, c, d]")
+        raise ValueError("tune needs --integrator <row> or --init b,c,d")
 
     result = tune(hbar, seed_params)
     if result.rho_norm < np.finfo(float).eps ** 2:
@@ -303,7 +267,7 @@ def cmd_rowlands_order(opts: dict) -> int:
 
 
 # Each command: handler, help, and the options it reads with their defaults
-# as flag text (None: no default).  Every command also takes --config.
+# as flag text (None: no default).
 COMMANDS = {
     "table2": (cmd_table2, "check shipped rho norms and stability lengths", {"out": None}),
     "stability": (cmd_stability, "print kernel stability-interval lengths", {"integrator": None, "out": None}),
@@ -326,13 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (func, help_text, defaults) in COMMANDS.items():
         sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for name, default in defaults.items():
-            flag, flag_help = "--" + name.replace("_", "-"), OPTIONS[name][1]
-            if flag_help is None:
-                continue
+            flag_help = OPTIONS[name][1]
             if default is not None:
                 flag_help += f" (default {default})"
-            sp.add_argument(flag, dest=name, help=flag_help)
-        sp.add_argument("--config", help=f"JSON object with keys {', '.join(defaults)}; flags override")
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, help=flag_help)
         sp.set_defaults(func=func, defaults=defaults)
     return parser
 
@@ -341,7 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(_options(args))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NoDescent as exc:

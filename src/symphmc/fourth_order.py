@@ -34,9 +34,13 @@ def order_estimate(target: TargetModel, integ: ProcessedIntegrator, t_final: flo
     The reference solution is a fourth-order leg at h0/64, for every
     target.  Returns the three values log2(err_k / err_{k+1}).
     """
-    n0 = round(t_final / h0)
+    rule = "choose h0 so that t_final/h0 is an even integer >= 4"
+    ratio = t_final / h0
+    if not math.isfinite(ratio):
+        raise ValueError(f"{rule}, not {ratio}")
+    n0 = round(ratio)
     if abs(n0 * h0 - t_final) > 1e-12 * max(1.0, t_final) or n0 < 4 or n0 % 2:
-        raise ValueError("choose h0 so that t_final/h0 is an even integer >= 4")
+        raise ValueError(rule)
 
     initial_state = PhaseState(np.full(target.dim, 0.4), np.full(target.dim, 0.3))
     reference = rowlands_leg(initial_state, h0 / 64.0, n0 * 64, target)

@@ -38,7 +38,8 @@ from .targets import GaussianModel, TargetModel
 class HmcConfig:
     """One chain's settings, checked before any chain runs: h and leg_time
     positive and finite, n_samples >= 1 and seed >= 0 integers (a float or a
-    bool is a TypeError), and h must round the leg to enough steps."""
+    bool is a TypeError), and leg_time/h finite and rounding the leg to
+    enough steps."""
 
     h: float
     n_samples: int
@@ -51,6 +52,8 @@ class HmcConfig:
             raise ValueError("h must be positive and finite")
         if not (self.leg_time > 0.0 and math.isfinite(self.leg_time)):
             raise ValueError("leg_time must be positive and finite")
+        if not math.isfinite(self.leg_time / self.h):
+            raise ValueError(f"h={self.h!r} and leg_time={self.leg_time!r} give no finite step count")
         whole(self.n_samples, "n_samples", 1)
         whole(self.seed, "seed", 0)
         try:

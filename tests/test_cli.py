@@ -82,7 +82,7 @@ class TestSweep:
             assert stats.grad_per_leg == grad_per_leg
 
     def test_unknown_integrator_is_usage_error(self, capsys):
-        # the flag passes through the same converter as a config value; --help lists the names
+        # the flag passes through the option's converter; --help lists the names
         assert run_cli(["sweep", "--integrator", "nope"]) == 2
         names = ", ".join(catalog.INTEGRATOR_NAMES)
         assert capsys.readouterr().err == f'error: bad --integrator value "nope": choose from {names}\n'
@@ -90,15 +90,12 @@ class TestSweep:
             run_cli(["sweep", "--help"])
         assert names in " ".join(capsys.readouterr().out.split())
 
-    @pytest.mark.parametrize("argv, config, line", [
-        (["--h-grid", "0"], None, 'bad --h-grid value "0": the value must be at least 1, not 0'),
-        ([], {"seed": -1}, "bad config key 'seed' value -1: the value must be at least 0, not -1"),
-    ])
-    def test_count_below_minimum_is_usage_error(self, tmp_path, capsys, argv, config, line):
+    @pytest.mark.parametrize("argv, line", [
+        (["--h-grid", "0"], 'bad --h-grid value "0": the value must be at least 1, not 0'),
+        (["--seed", "-1"], 'bad --seed value "-1": the value must be at least 0, not -1'),
+    ], ids=["h-grid-0", "seed-negative"])
+    def test_count_below_minimum_is_usage_error(self, capsys, argv, line):
         # the four count options convert with int, then splitting.whole
-        if config is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(config))
-            argv = argv + ["--config", str(tmp_path / "cfg.json")]
         assert run_cli(["sweep", "--integrator", "leapfrog", "--dim", "8", *argv]) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
 
@@ -138,29 +135,6 @@ class TestSweep:
                         "--h-grid", "4", "--seed", "2", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 5
-
-    def test_config_file_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"integrator": "proc-3.0", "dim": 8, "samples": 50,
-                                   "h": [0.05, 0.1], "seed": 5}))
-        out = tmp_path / "cfg.csv"
-        code = run_cli(["sweep", "--config", str(cfg), "--samples", "60", "--out", str(out)])
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 3
-        assert all(field.split(",")[6] == "60" for field in lines[1:])
-
-    def test_bad_config_keys(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"integrator": "proc-3.0", "bogus": 1}))
-        assert run_cli(["sweep", "--config", str(cfg)]) == 2
-
-    def test_malformed_config_json(self, tmp_path):
-        cfg = tmp_path / "broken.json"
-        cfg.write_text("{not json")
-        assert run_cli(["sweep", "--config", str(cfg)]) == 2
-        cfg.write_text(json.dumps([1, 2, 3]))
-        assert run_cli(["sweep", "--config", str(cfg)]) == 2
 
     def test_bad_h_token(self):
         assert run_cli(["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1,abc"]) == 2
@@ -258,6 +232,19 @@ class TestSweep:
         assert "h=4" in err and "N=1" in err
         assert not out.exists()
 
+    def test_oversized_request_is_usage_error(self, monkeypatch, capsys):
+        # numpy raises MemoryError for a chain it cannot allocate; a real
+        # allocation is not made, since with overcommit a huge one may succeed
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "efficiency_curve", refuse)
+        assert run_cli(["sweep", "--integrator", "proc-3.0", "--dim", "4", "--samples", "1000000000000",
+                        "--h", "0.1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("name", ["proc-3.0", "rowlands"])
     def test_rows_are_direct_chains(self, name, tmp_path):
         # the sweep adds nothing to the chain: row i is hmc_run's ChainStats at seed ^ i
@@ -338,11 +325,16 @@ class TestTune:
         assert payload["hbar"] == 3.0
         assert payload["rho_norm"] <= 6e-8
 
-    def test_config_init(self, capsys, tmp_path):
-        cfg = tmp_path / "t.json"
-        cfg.write_text(json.dumps({"init": [0.348674, -0.075640, 0.069720]}))
-        assert run_cli(["tune", "--config", str(cfg), "--h", "3.0"]) == 0
+    def test_init_flag(self, capsys):
+        assert run_cli(["tune", "--init=0.348674,-0.075640,0.069720", "--h", "3.0"]) == 0
         assert "rho_norm" in capsys.readouterr().out
+
+    def test_negative_init_needs_the_equals_form(self, capsys):
+        # argparse reads "-0.1,0.2,0.3" as a flag, not as --init's value
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["tune", "--init", "-0.1,0.2,0.3"])
+        assert exc.value.code == 2
+        assert "argument --init: expected one argument" in capsys.readouterr().err
 
     def test_no_descent_exits_nonzero(self, capsys):
         code = run_cli(["tune", "--integrator", "proc-3.0", "--h", "1000"])
@@ -355,12 +347,10 @@ class TestTune:
         # 6b - 1 = -0.0026: 1 - 2a rounds by more than 1e-14, yet the member builds
         pytest.param((0.16623066666666667, -0.07, 0.07), id="near-singular"),
     ])
-    def test_overflowing_init_is_no_descent(self, tmp_path, capsys, init):
-        cfg = tmp_path / "t.json"
-        cfg.write_text(json.dumps({"init": list(init)}))
+    def test_overflowing_init_is_no_descent(self, capsys, init):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli(["tune", "--config", str(cfg), "--h", "3.0"]) == 1
+            assert run_cli(["tune", "--init=" + ",".join(map(repr, init)), "--h", "3.0"]) == 1
         assert caught == []
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -398,56 +388,57 @@ class TestTune:
     def test_scalar_h_required(self):
         assert run_cli(["tune", "--integrator", "proc-3.0", "--h", "1,2"]) == 2
 
-    def test_malformed_init(self, tmp_path):
-        cfg = tmp_path / "t.json"
-        cfg.write_text(json.dumps({"init": [0.3, 0.0]}))
-        assert run_cli(["tune", "--config", str(cfg), "--h", "3.0"]) == 2
+    def test_malformed_init(self, capsys):
+        assert run_cli(["tune", "--init=0.3,0.0", "--h", "3.0"]) == 2
+        assert capsys.readouterr().err == 'error: bad --init value "0.3,0.0": must be three finite numbers [b, c, d]\n'
 
 
 SWEEP_LEAPFROG = ["sweep", "--integrator", "leapfrog", "--dim", "8", "--samples", "5"]
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv",
     [
-        (["sweep", "--integrator", "leapfrog", "--dim", "0"], None),
-        (SWEEP_LEAPFROG + ["--h", "0.1", "--samples", "0"], None),
-        (SWEEP_LEAPFROG + ["--h", "-1"], None),
-        (SWEEP_LEAPFROG + ["--h", "nan"], None),
-        (SWEEP_LEAPFROG + ["--h", ""], None),
-        (SWEEP_LEAPFROG + ["--h", ","], None),
-        (SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "0"], None),
-        (SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "nan"], None),
-        (SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "inf"], None),
-        (["sweep", "--integrator", "leapfrog"], {"dim": "abc"}),
-        (["rowlands-order", "--h", "0.3"], None),
-        (["tune", "--integrator", "proc-3.0", "--h", "-1"], None),
-        (SWEEP_LEAPFROG + ["--h-grid", "0"], None),
-        (["rho-scan", "--integrator", "leapfrog", "--h-grid", "0"], None),
-        (["rho-scan", "--integrator", "leapfrog", "--h", "-1"], None),
-        (["sweep", "--integrator", "leapfrog", "--samples", "5", "--h", "0.1"], {"dim": 8.9}),
-        (["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1"], {"samples": 5.7}),
-        (SWEEP_LEAPFROG + ["--h", "0.1"], {"seed": 2.5}),
-        (SWEEP_LEAPFROG, {"h": True}),
-        (SWEEP_LEAPFROG + ["--h", "0.1"], {"full": "no"}),
-        (SWEEP_LEAPFROG + ["--h", "0.1"], {"full": True}),
-        (["table2"], {"dim": 8}),
+        ["sweep", "--integrator", "leapfrog", "--dim", "0"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--dim", "abc"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--dim", "8.9"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--samples", "5.7"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--seed", "2.5"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--samples", "0"],
+        SWEEP_LEAPFROG + ["--h", "-1"],
+        SWEEP_LEAPFROG + ["--h", "nan"],
+        SWEEP_LEAPFROG + ["--h", ""],
+        SWEEP_LEAPFROG + ["--h", ","],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "0"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "nan"],
+        SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "inf"],
+        ["rowlands-order", "--h", "0.3"],
+        ["tune", "--integrator", "proc-3.0", "--h", "-1"],
+        SWEEP_LEAPFROG + ["--h-grid", "0"],
+        ["rho-scan", "--integrator", "leapfrog", "--h-grid", "0"],
+        ["rho-scan", "--integrator", "leapfrog", "--h", "-1"],
+        # finite inputs whose leg_time/h overflows the step count
+        ["rowlands-order", "--leg-time", "1e308"],
+        ["rowlands-order", "--h", "1e-320"],
+        ["sweep", "--integrator", "proc-3.0", "--dim", "4", "--samples", "5", "--h", "1e-320"],
+        ["sweep", "--integrator", "proc-3.0", "--dim", "4", "--samples", "5", "--leg-time", "1e308", "--h", "1e-10"],
     ],
-    ids=["dim-0", "samples-0", "h-negative", "h-nan", "h-empty", "h-comma", "leg-time-0", "leg-time-nan", "leg-time-inf",
-         "config-dim-abc", "rowlands-order-h", "tune-h-negative", "sweep-h-grid-0", "rho-scan-h-grid-0",
-         "rho-scan-h-negative", "config-dim-float", "config-samples-float", "config-seed-float",
-         "config-h-bool", "config-full-string", "config-full-true", "table2-config-dim"],
+    ids=["dim-0", "dim-abc", "dim-float", "samples-float", "seed-float", "samples-0", "h-negative", "h-nan", "h-empty", "h-comma", "leg-time-0", "leg-time-nan", "leg-time-inf",
+         "rowlands-order-h", "tune-h-negative", "sweep-h-grid-0", "rho-scan-h-grid-0", "rho-scan-h-negative",
+         "rowlands-order-leg-time-1e308", "rowlands-order-h-1e-320", "sweep-h-1e-320", "sweep-leg-time-1e308"],
 )
-def test_invalid_values_are_usage_errors(argv, config, tmp_path, capsys):
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv = argv + ["--config", str(cfg)]
+def test_invalid_values_are_usage_errors(argv, capsys):
     code = run_cli(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_overflowing_leg_time_is_usage_error(capsys):
+    # finite, but leg-time / h overflows the step count; the error gives the ratio
+    assert run_cli(["rowlands-order", "--leg-time", "1e308"]) == 2
+    assert capsys.readouterr().err == "error: choose h0 so that t_final/h0 is an even integer >= 4, not inf\n"
 
 
 class TestRowlandsOrder:
@@ -479,7 +470,7 @@ DECLARED_FLAGS = {
     "table2": ["--out"],
     "stability": ["--integrator", "--out"],
     "sweep": ["--integrator", "--dim", "--h", "--h-grid", "--leg-time", "--samples", "--seed", "--out"],
-    "tune": ["--integrator", "--h", "--out"],
+    "tune": ["--integrator", "--h", "--out", "--init"],
     "rho-scan": ["--integrator", "--h", "--h-grid", "--out"],
     "rowlands-order": ["--h", "--leg-time"],
 }
@@ -492,26 +483,19 @@ def test_help_lists_only_declared_flags(command, capsys):
         run_cli([command, "--help"])
     assert exc.value.code == 0
     listed = set(re.findall(r"(--[a-z-]+)", capsys.readouterr().out))
-    assert listed == set(DECLARED_FLAGS[command]) | {"--help", "--config"}
+    assert listed == set(DECLARED_FLAGS[command]) | {"--help"}
 
 
 @pytest.mark.parametrize(
     "argv",
     [["table2", "--dim", "5"], ["stability", "--h", "1"], ["sweep", "--int", "leapfrog"],
-     ["rowlands-order", "--out", "x"], ["tune", "--init", "0.3,0,0"],
-     ["sweep", "--integrator", "leapfrog", "--full"]],
+     ["rowlands-order", "--out", "x"], ["rho-scan", "--init", "0.3,0,0"],
+     ["sweep", "--integrator", "leapfrog", "--full"], ["sweep", "--config", "cfg.json"]],
 )
 def test_undeclared_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2
-
-
-def test_overflowing_leg_time_is_usage_error(capsys):
-    # finite, but leg-time / h overflows the step count
-    assert run_cli(["rowlands-order", "--leg-time", "1e308"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # The exit-code probe.  Any flag may carry an edge token: a subnormal, an
@@ -531,12 +515,12 @@ VALID_TOKENS = {
         "--samples": ["1", "20"], "--h": ["0.05", "0.1,0.2", "3"], "--h-grid": ["1", "3"],
         "--leg-time": ["1", "5"], "--seed": ["0", "7"], "--out": OUT_TOKENS,
     },
-    "tune": {"--integrator": ["leapfrog", "proc-4.0", "proc-4.5"], "--h": ["3.0", "4.5"], "--out": OUT_TOKENS},
+    "tune": {"--integrator": ["leapfrog", "proc-4.0", "proc-4.5"], "--h": ["3.0", "4.5"], "--out": OUT_TOKENS,
+             "--init": ["0.348674,-0.07564,0.06972", "0.348674,1e100,1e100"]},
     "rho-scan": {"--integrator": ["blcasa", "rowlands"], "--h": ["0.5", "3.0"], "--h-grid": ["1", "3"],
                  "--out": OUT_TOKENS},
     "rowlands-order": {"--h": ["0.1", "0.25", "0.5"], "--leg-time": ["1", "2", "8"]},
 }
-CONFIG_VALUES = [7.5, "abc", True, None, [0.1, "x"], -1, 0, 2, "0.1,abc", [0.1, 0.2], "proc-3.0", {"a": 1}]
 
 
 @st.composite
@@ -554,21 +538,13 @@ def cheap_argv(draw):
         argv += [flag, draw(st.sampled_from(valid[flag]) | st.sampled_from(edges))]
     if draw(st.integers(0, 9)) == 0:
         argv += [draw(st.sampled_from(ALL_FLAGS)), "0"]  # declared by this command or not
-    # each key the command declares, plus one it may not, present half the time
-    keys = [flag[2:].replace("-", "_") for flag in DECLARED_FLAGS[command]] + ["dim"]
-    value = st.sampled_from(CONFIG_VALUES)
-    config = draw(st.none() | st.fixed_dictionaries({}, optional={key: value for key in keys}))
-    return argv, config
+    return argv
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=3), suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cheap_argv())
-def test_exit_code_contract(tmp_path, monkeypatch, capsys, case):
-    argv, config = case
+def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        argv = argv + ["--config", "cfg.json"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

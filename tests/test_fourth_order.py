@@ -191,6 +191,8 @@ class TestOrderEstimate:
     def test_step_compatibility_enforced(self):
         with pytest.raises(ValueError):
             order_estimate(anharmonic_model(1), SCHEME, 2.0, 0.3)
+        with pytest.raises(ValueError, match="t_final/h0 is an even integer >= 4, not inf"):
+            order_estimate(anharmonic_model(1), SCHEME, 1e308, 0.25)
 
 
 class TestExactOrder:

@@ -57,6 +57,8 @@ class TestConfig:
             HmcConfig(h=0.1, n_samples=0, seed=0, integrator=ROW2)
         with pytest.raises(ValueError):
             HmcConfig(h=0.1, n_samples=1, seed=0, integrator=ROW2, leg_time=0.0)
+        with pytest.raises(ValueError, match="h=1e-320 and leg_time=5.0 give no finite step count"):
+            HmcConfig(h=1e-320, n_samples=1, seed=0, integrator=ROW2)
 
     @pytest.mark.parametrize("field, value", [("n_samples", 2.5), ("n_samples", True), ("n_samples", 5.0),
                                               ("seed", 1.5), ("seed", True), ("seed", "1")])
