@@ -1,6 +1,6 @@
 """HMC chain driver with Metropolis correction and gradient-cost accounting.
 
-Each iteration refreshes the momentum, integrates one leg, and accepts the
+Each iteration draws a new momentum, integrates one leg, and accepts the
 proposal with probability min(1, exp(-dH)); on rejection the position is
 retained.  Everything is driven by a single seeded generator per chain, so
 runs are bit-reproducible and independent chains (one per step size in a
@@ -14,8 +14,8 @@ kick are exact shears there) and is cross-checked against the generic
 flow-by-flow execution in the test suite.  The two paths differ only in
 their set-up and their proposal; both run the same Metropolis loop.  A
 chain's one record, also a sweep's row, is its ChainStats: the config, the
-accepted count, the energy errors and the evaluations used, each
-Hessian-vector product billed as one gradient; its rates derive from these.
+accepted count, the energy errors and the evaluations the executor counts,
+a Hessian-vector product as one gradient; its rates derive from these.
 A sweep chain keeps no positions, so it holds O(d + n) memory, not O(n d).
 Only a sweep with more than one worker loads multiprocessing, for its process
 pool, whose size the CLI caps at the CPUs this process may run on.
@@ -113,21 +113,22 @@ def hmc_run(
 ) -> tuple[np.ndarray | None, ChainStats]:
     """Run one chain of cfg.n_samples iterations.
 
-    Momentum refreshment draws standard normals (unit mass matrix).  Returns
+    Each momentum is drawn standard normal (unit mass matrix).  Returns
     the positions after each iteration (shape (n_samples, dim)) and the
     chain statistics.  With positions=False no positions are stored and the
     first item is None; the statistics are the same.  A leg that leaves the
     floating-point range is treated as dH = +inf (certain rejection), never
     a crash.  Fully deterministic given (target, cfg).  The per-mode fast
     path runs whenever the target is a GaussianModel, unless use_fast_path=False.
+    Both paths bill the executor's count, leg_gradient_count per iteration, and
+    run on the target itself, reading none of its counters.
     """
-    tgt = target.fresh()
-    gaussian = isinstance(tgt, GaussianModel)
+    gaussian = isinstance(target, GaussianModel)
     rng = np.random.default_rng(cfg.seed)
-    q0 = tgt.exact_sample(rng) if gaussian else np.zeros(tgt.dim)
-    if use_fast_path and gaussian:
-        return _run_fast(tgt, cfg, rng, q0, positions)
-    return _run_generic(tgt, cfg, rng, q0, positions)
+    q0 = target.exact_sample(rng) if gaussian else np.zeros(target.dim)
+    run = _run_fast if use_fast_path and gaussian else _run_generic
+    samples, dh, accepted = run(target, cfg, rng, q0, positions)
+    return samples, ChainStats(cfg, accepted, leg_gradient_count(cfg.integrator, cfg.n_steps) * cfg.n_samples, dh)
 
 
 def _metropolis(propose, q0: np.ndarray, n: int, rng: np.random.Generator, positions: bool):
@@ -170,8 +171,7 @@ def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0:
             return math.inf, q
         return energy(tgt, proposal) - h_current, proposal.q
 
-    samples, dh, accepted = _metropolis(propose, q0, cfg.n_samples, rng, positions)
-    return samples, ChainStats(cfg, accepted, tgt.grad_evals + tgt.hess_evals, dh)
+    return _metropolis(propose, q0, cfg.n_samples, rng, positions)
 
 
 def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray, positions: bool):
@@ -183,7 +183,6 @@ def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: 
         pre = schedule_matrix(integ.pre, x)
         post = schedule_matrix(integ.post, x)
         l11, l12, l21, l22 = post @ (kernel_n @ pre)
-    grad_per_leg = leg_gradient_count(integ, n_steps)
 
     def propose(q: np.ndarray, p: np.ndarray):
         h_current = 0.5 * (q @ q + p @ p)
@@ -195,7 +194,7 @@ def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: 
     samples, dh, accepted = _metropolis(propose, tgt.frequencies * q0, cfg.n_samples, rng, positions)
     if positions:
         samples /= tgt.frequencies
-    return samples, ChainStats(cfg, accepted, grad_per_leg * cfg.n_samples, dh)
+    return samples, dh, accepted
 
 
 def _chain_stats(job) -> ChainStats:

@@ -1,8 +1,8 @@
 """Target distributions: potential, gradient, optional Hessian-vector product.
 
-Each model owns its evaluation counters so the cost of pre/postprocessing and
-every kick is captured at one choke point; potential-only calls never touch
-the gradient counter.
+The base class's gradient and hessian_vec count their calls; the counters
+observe what was evaluated and bill nothing: a chain bills the executor's
+leg_gradient_count, runs on its target itself and never reads them.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ class TargetModel:
     the momentum refresh draws from N(0, I) and the kinetic energy is
     p^T p / 2.
 
-    Subclasses implement ``_potential`` and ``_gradient``.  Modified kicks
-    (the ``rowlands`` scheme) also need ``_hessian_vec``; the base hook
-    raises NotImplementedError, and drift/kick integrators never call it.
+    Subclasses implement ``_potential`` and ``_gradient``, or ``potential``
+    and ``gradient`` directly.  Modified kicks (``rowlands``) also need
+    ``_hessian_vec``, which drift/kick integrators never call.
 
     The leg executor never writes into an array that ``gradient`` or
     ``hessian_vec`` returns, so a hook may return its argument itself.  It
@@ -50,7 +50,7 @@ class TargetModel:
         return self._hessian_vec(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
 
     def fresh(self) -> "TargetModel":
-        """Copy with zeroed counters; each chain owns its own instance."""
+        """Copy with zeroed counters; a chain runs on its target, not a copy."""
         other = copy.copy(self)
         other.grad_evals = 0
         other.hess_evals = 0

@@ -16,6 +16,7 @@ from symphmc import (
     leg_gradient_count,
     PhaseState,
     ProcessedIntegrator,
+    TargetModel,
     rho,
     stability_length,
 )
@@ -49,6 +50,9 @@ class TestConfig:
         assert cfg.n_steps == 10
         big = HmcConfig(h=12.0, n_samples=1, seed=0, integrator=ROW2, leg_time=5.0)
         assert big.n_steps == 1
+        # leg_time/h rounds to the nearest step count, not down
+        assert HmcConfig(h=1.0, n_samples=1, seed=0, integrator=ROW2, leg_time=3.6).n_steps == 4
+        assert HmcConfig(h=1.0, n_samples=1, seed=0, integrator=ROW2, leg_time=3.4).n_steps == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -92,6 +96,56 @@ class TestMetropolis:
                 assert np.array_equal(samples, np.tile(q0, (500, 1)))
             else:
                 assert samples is None
+
+    def test_acceptance_follows_the_metropolis_law(self):
+        # a fixed dH = 1/2 is accepted with probability exp(-1/2)
+        n = 20_000
+        _, dh, accepted = _metropolis(lambda q, p: (0.5, q), np.zeros(2), n, np.random.default_rng(7), False)
+        assert np.array_equal(dh, np.full(n, 0.5))
+        law = math.exp(-0.5)
+        assert abs(accepted / n - law) <= 4 * math.sqrt(law * (1 - law) / n)
+
+
+class DirectQuadratic(TargetModel):
+    """V = |q|^2/2, defining potential and gradient itself: no hook, no counter moves."""
+
+    def potential(self, q):
+        return 0.5 * float(np.dot(q, q))
+
+    def gradient(self, q):
+        return np.array(q, dtype=float)
+
+
+class TestBilling:
+    """Every chain bills the executor's count, leg_gradient_count per leg."""
+
+    @pytest.mark.parametrize("make_target, fast", [(gaussian_model, True), (gaussian_model, False),
+                                                   (anharmonic_model, False)],
+                             ids=["gaussian-fast", "gaussian-generic", "quartic-generic"])
+    @pytest.mark.parametrize("name", INTEGRATOR_NAMES)
+    def test_both_paths_bill_the_executor_count(self, name, make_target, fast):
+        integ = named_integrator(name)
+        cfg = HmcConfig(h=0.3, n_samples=7, seed=4, integrator=integ, leg_time=2.0)
+        _, stats = hmc_run(make_target(3), cfg, use_fast_path=fast)
+        assert stats.grad_evals == leg_gradient_count(integ, cfg.n_steps) * 7
+
+    @pytest.mark.parametrize("name", ["leapfrog", "blcasa", "proc-3.0"])
+    def test_a_target_with_its_own_gradient_is_billed(self, name):
+        integ = named_integrator(name)
+        target = DirectQuadratic(3)
+        cfg = HmcConfig(h=0.2, n_samples=25, seed=5, integrator=integ)
+        _, stats = hmc_run(target, cfg)
+        assert stats.grad_evals == leg_gradient_count(integ, cfg.n_steps) * 25 > 0
+        assert target.grad_evals == 0  # its own gradient counts nothing
+        assert math.isfinite(stats.accept_per_grad) and stats.accept_per_grad > 0
+        if name == "proc-3.0":
+            assert stats.grad_per_leg == 3 * 25 + 5
+
+    def test_a_generic_chain_counts_on_the_callers_target(self):
+        target = anharmonic_model(2)
+        cfg = HmcConfig(h=0.25, n_samples=10, seed=3, integrator=ROW2)
+        _, stats = hmc_run(target, cfg)
+        assert target.grad_evals + target.hess_evals == stats.grad_evals
 
 
 class TestHmcRun:
@@ -174,6 +228,16 @@ class TestHmcRun:
         cfg = HmcConfig(h=1.05 * h_kernel / d, n_samples=400, seed=5, integrator=ROW2, leg_time=5.0)
         _, stats = hmc_run(gaussian_model(d), cfg)
         assert stats.acceptance_rate < 0.05
+
+    def test_chain_starts_at_the_exact_sample(self):
+        # the generic path (the fast one divides by the frequencies): leapfrog's
+        # stiffest scaled step is 4, past its limit 2, so the first leg diverges
+        # and the first stored position is the start
+        target = gaussian_model(4)
+        cfg = HmcConfig(h=1.0, n_samples=3, seed=12, integrator=named_integrator("leapfrog"))
+        samples, stats = hmc_run(target, cfg, use_fast_path=False)
+        assert stats.energy_errors[0] > 1e6
+        assert samples[0].tobytes() == target.exact_sample(np.random.default_rng(12)).tobytes()
 
     def test_rejection_keeps_position(self):
         d = 64

@@ -189,6 +189,9 @@ class TestProcessedIntegrator:
         broken = FlowSchedule((kick(0.5), drift(0.9), kick(0.5)))
         with pytest.raises(ValueError):
             ProcessedIntegrator(broken, FlowSchedule())
+        # a miss of 1e-9 is no rounding: the sums are held to 1e-14
+        with pytest.raises(ValueError, match="drift coefficients must sum to 1"):
+            ProcessedIntegrator(FlowSchedule((kick(0.5), drift(1.0 + 1e-9), kick(0.5))), FlowSchedule())
 
     def test_non_palindromic_kernel_rejected(self):
         # symplectic Euler has consistent sums but no time symmetry: at h=2.5

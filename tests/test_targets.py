@@ -84,18 +84,13 @@ class TestAnharmonicModel:
 
 
 class GradientOnly(TargetModel):
-    """V = |q|^2/2 + |q|^4/4 with no Hessian-vector hook; fresh() hands back
-    the instance itself, so a test reads the counters a chain used."""
+    """V = |q|^2/2 + |q|^4/4 with no Hessian-vector hook."""
 
     def _potential(self, q):
         return float(np.sum(0.5 * q * q + 0.25 * q**4))
 
     def _gradient(self, q):
         return q + q**3
-
-    def fresh(self):
-        self.grad_evals = self.hess_evals = 0
-        return self
 
 
 class TestHessianContract:

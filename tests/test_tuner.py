@@ -7,9 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from symphmc import DegenerateParameter, NoDescent, cli, continuation_sweep, evaluate, rho_norm, tune
-from symphmc import processed_family, tuning
+from symphmc import processed_family, rho, tuning
 from symphmc.catalog import REFERENCE_ROWS, row_by_name
 
 ROW2 = row_by_name("proc-3.0")
@@ -38,6 +39,14 @@ class TestEvaluate:
         flipped = evaluate(0.348674, 0.075640, -0.069720, 3.0)
         original = evaluate(0.348674, -0.075640, 0.069720, 3.0)
         assert math.isclose(flipped, original, rel_tol=1e-14)
+
+    @given(st.floats(0.2, 0.5), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(0.5, 4.5))
+    def test_negating_the_processor_changes_no_bit(self, b, c, d, hbar):
+        # (c, d) -> (-c, -d) flips the signs of the preprocessor map's m12 and
+        # m21, which rho reads only through squares and cross^2
+        assert evaluate(b, -c, -d, hbar).hex() == evaluate(b, c, d, hbar).hex()
+        hs = np.linspace(0.01, 1.2 * hbar, 64)
+        assert rho(processed_family(b, -c, -d), hs).tobytes() == rho(processed_family(b, c, d), hs).tobytes()
 
     def test_degenerate_kernel_parameter(self):
         with pytest.raises(DegenerateParameter):
