@@ -325,9 +325,17 @@ class TestTune:
         assert payload["hbar"] == 3.0
         assert payload["rho_norm"] <= 6e-8
 
-    def test_init_flag(self, capsys):
-        assert run_cli(["tune", "--init=0.348674,-0.075640,0.069720", "--h", "3.0"]) == 0
-        assert "rho_norm" in capsys.readouterr().out
+    @pytest.mark.parametrize("init", [
+        pytest.param("0.348674,-0.075640,0.069720", id="proc-3.0"),
+        # a tiny processor parameter is valid input: its member tunes, warning nothing
+        pytest.param("0.348674,-0.07564,1e-300", id="tiny-d"),
+    ])
+    def test_init_flag(self, capsys, init):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["tune", "--init=" + init, "--h", "3.0"]) == 0
+        assert caught == []
+        assert "rho_norm=5.125362e-08" in capsys.readouterr().out
 
     def test_negative_init_needs_the_equals_form(self, capsys):
         # argparse reads "-0.1,0.2,0.3" as a flag, not as --init's value
