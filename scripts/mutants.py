@@ -32,6 +32,7 @@ TIMEOUT_S = 600.0
 
 HMC, HARMONIC, SPLITTING = "src/symphmc/hmc.py", "src/symphmc/harmonic.py", "src/symphmc/splitting.py"
 TARGETS, TUNING, CATALOG = "src/symphmc/targets.py", "src/symphmc/tuning.py", "src/symphmc/catalog.py"
+CLI = "src/symphmc/cli.py"
 
 MUTANTS = [
     (CATALOG, "KAPPA_GAMMA_1 = Fraction(55, 1728)", "KAPPA_GAMMA_1 = Fraction(56, 1728)",
@@ -81,6 +82,13 @@ MUTANTS = [
     (HMC, "leg_gradient_count(cfg.integrator, cfg.n_steps) * cfg.n_samples",
      "leg_gradient_count(cfg.integrator, cfg.n_steps) * (cfg.n_samples - 1)",
      "a chain bills one leg too few"),
+    (TUNING, "max_eval = 2 * max_iter", "max_eval = 2 * max_iter + 1",
+     "the simplex runs one evaluation past SciPy's cap"),
+    (CLI, "results = continuation_sweep(opts[\"h\"], seed_params)",
+     "results = [continuation_sweep([h], seed_params)[0] for h in opts[\"h\"]]",
+     "tune seeds every budget from the row, not from the previous optimum"),
+    (CLI, "leg_gradient_count(rowlands, n_cost)}", "leg_gradient_count(rowlands, n_cost - 1)}",
+     "rowlands-order's cost line bills a leg one step short"),
 ]
 
 

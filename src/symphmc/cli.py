@@ -18,12 +18,12 @@ import numpy as np
 
 from . import catalog
 from .errors import NoDescent
-from .fourth_order import order_estimate, rowlands_leg
+from .fourth_order import order_estimate
 from .harmonic import rho, rho_norm, stability_length
 from .hmc import efficiency_curve
-from .splitting import FlowSchedule, PhaseState, ProcessedIntegrator, whole
+from .splitting import FlowSchedule, ProcessedIntegrator, leg_gradient_count, whole
 from .targets import anharmonic_model, gaussian_model
-from .tuning import tune
+from .tuning import continuation_sweep
 
 USAGE_ERROR = 2
 
@@ -199,7 +199,6 @@ def cmd_sweep(opts: dict) -> int:
 
 
 def cmd_tune(opts: dict) -> int:
-    hbar = _single_h(opts["h"])
     name = opts.get("integrator")
     if "init" in opts:
         seed_params = opts["init"]
@@ -209,16 +208,18 @@ def cmd_tune(opts: dict) -> int:
     else:
         raise ValueError("tune needs --integrator <row> or --init b,c,d")
 
-    result = tune(hbar, seed_params)
-    if result.rho_norm < np.finfo(float).eps ** 2:
-        raise ValueError(f"hbar={hbar} is too small: the tuned rho_norm {result.rho_norm:.6e} is below eps^2, "
-                         "so (b, c, d) follow rounding noise")
-    print(f"hbar={hbar}: b={_fmt(result.b)} c={_fmt(result.c)} d={_fmt(result.d)}")
-    print(f"rho_norm={result.rho_norm:.6e} at_hbar={result.rho_at_hbar:.6e} "
-          f"interior_peak={result.interior_peak:.6e} evaluations={len(result.trace)}")
+    results = continuation_sweep(opts["h"], seed_params)
+    for result in results:
+        if result.rho_norm < np.finfo(float).eps ** 2:
+            raise ValueError(f"hbar={result.hbar} is too small: the tuned rho_norm {result.rho_norm:.6e} is below "
+                             "eps^2, so (b, c, d) follow rounding noise")
+    for result in results:
+        print(f"hbar={result.hbar}: b={_fmt(result.b)} c={_fmt(result.c)} d={_fmt(result.d)}")
+        print(f"rho_norm={result.rho_norm:.6e} at_hbar={result.rho_at_hbar:.6e} "
+              f"interior_peak={result.interior_peak:.6e} evaluations={len(result.trace)}")
     if "out" in opts:
-        payload = {"hbar": hbar, "b": result.b, "c": result.c, "d": result.d,
-                   "rho_norm": result.rho_norm, "evaluations": len(result.trace)}
+        payload = [{"hbar": r.hbar, "b": r.b, "c": r.c, "d": r.d, "rho_norm": r.rho_norm, "evaluations": len(r.trace)}
+                   for r in results]
         _write_text(opts["out"], json.dumps(payload, indent=2) + "\n")
     return 0
 
@@ -250,17 +251,13 @@ def cmd_rowlands_order(opts: dict) -> int:
     positive = all(f.coefficient > 0 and ((f.b_mod, f.c_mod) == (1.0, 0.0) or min(f.b_mod, f.c_mod) > 0)
                    for f in (*rowlands.pre, *rowlands.kernel))
 
-    # per-leg cost of the modified-potential kicks: gradients and
-    # Hessian-vector products are billed separately
-    cost_target = target.fresh()
     n_cost = round(t_final / h0)
-    rowlands_leg(PhaseState(np.full(1, 0.4), np.full(1, 0.3)), h0, n_cost, cost_target)
     ok = all(3.5 <= v <= 4.5 for v in processed) and all(1.7 <= v <= 2.3 for v in bare) and positive
     print(f"processed scheme orders: {[round(v, 3) for v in processed]} (target 4)")
     print(f"bare kernel orders:      {[round(v, 3) for v in bare]} (target 2)")
     print(f"velocity verlet orders:  {[round(v, 3) for v in verlet]} (target 2)")
-    print(f"leg cost at h={h0}, N={n_cost}: {cost_target.grad_evals} gradients, "
-          f"{cost_target.hess_evals} hessian-vector products")
+    print(f"leg cost at h={h0}, N={n_cost}: {leg_gradient_count(rowlands, n_cost)} evaluations, "
+          "a Hessian-vector product billed as one gradient")
     print(f"all substep coefficients positive: {positive}")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -275,7 +272,7 @@ COMMANDS = {
         "integrator": None, "dim": "1024", "h": None, "h_grid": "12", "leg_time": "5",
         "samples": None, "seed": "1", "out": None,
     }),
-    "tune": (cmd_tune, "minimize the rho metric over (b, c, d)", {
+    "tune": (cmd_tune, "minimize the rho metric over (b, c, d), continuing over increasing budgets", {
         "integrator": None, "h": "3.0", "out": None, "init": None,
     }),
     "rho-scan": (cmd_rho_scan, "emit (h, rho_h) CSV", {"integrator": None, "h": None, "h_grid": "1000", "out": None}),

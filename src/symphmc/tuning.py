@@ -51,19 +51,18 @@ def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take(sim, order, 0), np.take(fsim, order, 0)
 
 
-def _nelder_mead(
-    f: Callable[[np.ndarray], float], simplex: np.ndarray, max_iter: int, max_eval: int
-) -> tuple[np.ndarray, float]:
+def _nelder_mead(f: Callable[[np.ndarray], float], simplex: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
     """Minimize f from the given (n+1, n) simplex; return the best vertex and
     its value.
 
     The steps of SciPy's minimize(method="Nelder-Mead") without `adaptive`
     (Nelder & Mead, Comput. J. 7, 1965): reflect 1, expand 2,
     outside and inside contraction 1/2, shrink 1/2; the same ordering, the
-    same XATOL/FATOL stopping test, and at most max_iter - 1 iterations.  The
-    evaluation cap is checked before every call, and reaching it ends the
-    iteration under way.
+    same XATOL/FATOL stopping test, at most max_iter - 1 iterations and at
+    most 2 * max_iter evaluations.  The evaluation cap is checked before
+    every call, and reaching it ends the iteration under way.
     """
+    max_eval = 2 * max_iter
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
     fsim = np.full(n + 1, np.inf)
@@ -155,7 +154,7 @@ def tune(hbar: float, init: Sequence[float], restarts: int = 2, max_iter: int = 
     size = 1e-2
     for _ in range(restarts + 1):
         simplex = np.vstack([best_x] + [best_x + size * np.eye(3)[i] for i in range(3)])
-        x, fx = _nelder_mead(objective, simplex, max_iter, 2 * max_iter)
+        x, fx = _nelder_mead(objective, simplex, max_iter)
         if fx < best_f:
             best_f, best_x = fx, x
         size *= 0.1

@@ -2,9 +2,9 @@
 
 q and p are power series in h, truncated after h^K.  Every drift and kick of
 a leg of N steps acts on them exactly, for V = q^2/2 + q^4/4 from
-(q0, p0) = (2/5, 3/10), and the result is compared with the exact flow's
-Taylor series at t = N*h, whose coefficients follow from q' = p,
-p' = -V'(q).  A leg matches the flow through h^r when every coefficient up
+(q0, p0), by default (2/5, 3/10), and the result is compared with the
+exact flow's Taylor series at t = N*h, whose coefficients follow from
+q' = p, p' = -V'(q).  A leg matches the flow through h^r when every coefficient up
 to h^r agrees, and r is its order (Hairer, Lubich & Wanner, Geometric
 Numerical Integration, 2nd ed., 2006, ch. III).
 
@@ -61,9 +61,9 @@ def _force(q):
     return [x + y for x, y in zip(q, _mul(q, _mul(q, q)))]
 
 
-def run(flows):
-    """The leg's (q, p) as series in h."""
-    q, p = [Q0] + [ZERO] * K, [P0] + [ZERO] * K
+def run(flows, q0=Q0, p0=P0):
+    """The leg's (q, p) from (q0, p0) as series in h."""
+    q, p = [Fraction(q0)] + [ZERO] * K, [Fraction(p0)] + [ZERO] * K
     for is_drift, c, b_mod, c_mod in flows:
         if is_drift:
             q = [x + c * y for x, y in zip(q, _shift(p, 1))]
@@ -79,9 +79,9 @@ def run(flows):
     return q, p
 
 
-def exact(n_steps):
-    """The exact flow's (q, p) at t = N*h as series in h."""
-    q, p = [Q0] + [ZERO] * K, [P0] + [ZERO] * K
+def exact(n_steps, q0=Q0, p0=P0):
+    """The exact flow's (q, p) at t = N*h from (q0, p0) as series in h."""
+    q, p = [Fraction(q0)] + [ZERO] * K, [Fraction(p0)] + [ZERO] * K
     for k in range(K):  # coefficient k of V'(q) needs q's coefficients up to k
         q[k + 1] = p[k] / (k + 1)
         p[k + 1] = -_force(q)[k] / (k + 1)
@@ -95,9 +95,9 @@ def leg(pre, kernel, n_steps):
     return [*pre, *kernel * (n_steps - 2 * folded), *reversed(pre)]
 
 
-def matched_order(flows, n_steps):
-    """The last power of h through which the leg matches the exact flow."""
-    numeric, reference = run(flows), exact(n_steps)
+def matched_order(flows, n_steps, q0=Q0, p0=P0):
+    """The last power of h through which the leg from (q0, p0) matches the exact flow."""
+    numeric, reference = run(flows, q0, p0), exact(n_steps, q0, p0)
     for k in range(K + 1):
         if any(a[k] != b[k] for a, b in zip(numeric, reference)):
             return k - 1

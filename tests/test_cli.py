@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import symphmc
-from symphmc import FlowSchedule, HmcConfig, ProcessedIntegrator, catalog, cli, gaussian_model, hmc_run, modified_kick
+from symphmc import (FlowSchedule, HmcConfig, ProcessedIntegrator, catalog, cli, continuation_sweep, gaussian_model,
+                     hmc_run, leg_gradient_count, modified_kick)
 from symphmc.cli import COMMANDS, SWEEP_CSV_HEADER, _fmt, _workers, main
 from symphmc.harmonic import rho
 from symphmc.catalog import named_integrator
@@ -145,7 +146,7 @@ class TestSweep:
         def work(*args, **kwargs):
             raise AssertionError("the command ran before --out was checked")
 
-        for name in ("efficiency_curve", "tune", "rho", "rho_norm", "stability_length"):
+        for name in ("efficiency_curve", "continuation_sweep", "rho", "rho_norm", "stability_length"):
             monkeypatch.setattr(cli, name, work)
         commands = [["table2"], ["stability"], ["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1"],
                     ["tune", "--integrator", "proc-3.0"], ["rho-scan", "--integrator", "proc-3.0"]]
@@ -321,9 +322,24 @@ class TestTune:
         out = tmp_path / "tune.json"
         code = run_cli(["tune", "--integrator", "proc-3.0", "--h", "3.0", "--out", str(out)])
         assert code == 0
-        payload = json.loads(out.read_text())
+        [payload] = json.loads(out.read_text())
         assert payload["hbar"] == 3.0
         assert payload["rho_norm"] <= 6e-8
+
+    def test_budget_list_is_the_continuation(self, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        assert run_cli(["tune", "--integrator", "proc-3.0", "--h", "3.0,3.5", "--out", str(out)]) == 0
+        row = catalog.row_by_name("proc-3.0")
+        results = continuation_sweep([3.0, 3.5], (row.b, row.c, row.d))
+        lines = []
+        for r in results:
+            lines.append(f"hbar={r.hbar}: b={_fmt(r.b)} c={_fmt(r.c)} d={_fmt(r.d)}")
+            lines.append(f"rho_norm={r.rho_norm:.6e} at_hbar={r.rho_at_hbar:.6e} "
+                         f"interior_peak={r.interior_peak:.6e} evaluations={len(r.trace)}")
+        assert capsys.readouterr().out.splitlines() == lines
+        assert json.loads(out.read_text()) == [
+            {"hbar": r.hbar, "b": r.b, "c": r.c, "d": r.d, "rho_norm": r.rho_norm, "evaluations": len(r.trace)}
+            for r in results]
 
     @pytest.mark.parametrize("init", [
         pytest.param("0.348674,-0.075640,0.069720", id="proc-3.0"),
@@ -393,9 +409,6 @@ class TestTune:
     def test_needs_some_seed(self):
         assert run_cli(["tune", "--h", "3.0"]) == 2
 
-    def test_scalar_h_required(self):
-        assert run_cli(["tune", "--integrator", "proc-3.0", "--h", "1,2"]) == 2
-
     def test_malformed_init(self, capsys):
         assert run_cli(["tune", "--init=0.3,0.0", "--h", "3.0"]) == 2
         assert capsys.readouterr().err == 'error: bad --init value "0.3,0.0": must be three finite numbers [b, c, d]\n'
@@ -422,6 +435,9 @@ SWEEP_LEAPFROG = ["sweep", "--integrator", "leapfrog", "--dim", "8", "--samples"
         SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "inf"],
         ["rowlands-order", "--h", "0.3"],
         ["tune", "--integrator", "proc-3.0", "--h", "-1"],
+        # tune's budgets must increase strictly
+        ["tune", "--integrator", "proc-3.0", "--h", "3.5,3.0"],
+        ["tune", "--integrator", "proc-3.0", "--h", "3.0,3.0"],
         SWEEP_LEAPFROG + ["--h-grid", "0"],
         ["rho-scan", "--integrator", "leapfrog", "--h-grid", "0"],
         ["rho-scan", "--integrator", "leapfrog", "--h", "-1"],
@@ -432,13 +448,13 @@ SWEEP_LEAPFROG = ["sweep", "--integrator", "leapfrog", "--dim", "8", "--samples"
         ["sweep", "--integrator", "proc-3.0", "--dim", "4", "--samples", "5", "--leg-time", "1e308", "--h", "1e-10"],
     ],
     ids=["dim-0", "dim-abc", "dim-float", "samples-float", "seed-float", "samples-0", "h-negative", "h-nan", "h-empty", "h-comma", "leg-time-0", "leg-time-nan", "leg-time-inf",
-         "rowlands-order-h", "tune-h-negative", "sweep-h-grid-0", "rho-scan-h-grid-0", "rho-scan-h-negative",
+         "rowlands-order-h", "tune-h-negative", "tune-h-decreasing", "tune-h-repeated", "sweep-h-grid-0", "rho-scan-h-grid-0", "rho-scan-h-negative",
          "rowlands-order-leg-time-1e308", "rowlands-order-h-1e-320", "sweep-h-1e-320", "sweep-leg-time-1e308"],
 )
 def test_invalid_values_are_usage_errors(argv, capsys):
     code = run_cli(argv)
-    err = capsys.readouterr().err
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -455,6 +471,15 @@ class TestRowlandsOrder:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "positive: True" in out
+
+    @pytest.mark.parametrize("argv, n_steps, evaluations", [([], 8, 20), (["--h", "0.125"], 16, 36)])
+    def test_cost_line_is_the_executor_count(self, capsys, argv, n_steps, evaluations):
+        # 2N + 4: N + 3 gradients and N + 1 Hessian-vector products
+        assert evaluations == 2 * n_steps + 4 == leg_gradient_count(named_integrator("rowlands"), n_steps)
+        assert run_cli(["rowlands-order", *argv]) == 0
+        h = argv[1] if argv else "0.25"
+        assert (f"leg cost at h={h}, N={n_steps}: {evaluations} evaluations, "
+                "a Hessian-vector product billed as one gradient\n") in capsys.readouterr().out
 
     @pytest.mark.parametrize("part, c_mod", [
         ("pre", -float(catalog.KAPPA_GAMMA_1)),  # gamma_1 negated

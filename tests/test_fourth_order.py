@@ -219,6 +219,16 @@ class TestExactOrder:
         pre, kernel = ([], ROWLANDS_KERNEL) if name == "bare-kernel" else SCHEDULES[name]
         assert matched_order(leg(pre, kernel, 3), 3) == 2
 
+    @pytest.mark.parametrize("q0, p0", [(Fraction(2, 5), Fraction(3, 10)), (1, 0), (0, 1),
+                                        (Fraction(-3, 4), Fraction(1, 2))],
+                             ids=["2/5,3/10", "1,0", "0,1", "-3/4,1/2"])
+    @pytest.mark.parametrize("n_steps", [3, 4])
+    @pytest.mark.parametrize("name, order", [("rowlands", 4), ("leapfrog", 2), ("bare-kernel", 2)])
+    def test_order_holds_from_every_start(self, name, order, n_steps, q0, p0):
+        # a condition that vanishes at one (q0, p0) by chance does not vanish at all four
+        pre, kernel = ([], ROWLANDS_KERNEL) if name == "bare-kernel" else SCHEDULES[name]
+        assert matched_order(leg(pre, kernel, n_steps), n_steps, q0, p0) == order
+
     def test_perturbed_gamma_1_is_second_order(self):
         # the float gate, order_estimate, reads this kappa as fourth order
         pre = rowlands_kappa(KAPPA_GAMMA_1 + Fraction(1, 1000))

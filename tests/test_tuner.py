@@ -156,7 +156,7 @@ class TestContinuation:
             assert result.rho_norm <= row.rho_bound
 
 
-def scipy_nelder_mead(f, simplex, max_iter, max_eval):
+def scipy_nelder_mead(f, simplex, max_iter):
     """tuning._nelder_mead's contract, run by scipy."""
     from scipy.optimize import minimize
 
@@ -169,7 +169,7 @@ def scipy_nelder_mead(f, simplex, max_iter, max_eval):
             "xatol": tuning.XATOL,
             "fatol": tuning.FATOL,
             "maxiter": max_iter,
-            "maxfev": max_eval,
+            "maxfev": 2 * max_iter,
         },
     )
     return res.x, float(res.fun)
@@ -225,14 +225,3 @@ def test_runs_without_scipy(capsys):
     print(repr((r.b, r.c, r.d, r.rho_norm, len(r.trace))))
     assert proc.stdout == capsys.readouterr().out
 
-
-RETUNE_SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "retune_table2.py")
-
-
-@pytest.mark.parametrize("budgets", ["abc", "4.0,3.0", "", "3.0,inf"])
-def test_retune_script_rejects_bad_budgets(budgets):
-    proc = subprocess.run([sys.executable, RETUNE_SCRIPT, "--budgets", budgets], env=src_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1, proc.stderr
