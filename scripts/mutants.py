@@ -82,13 +82,21 @@ MUTANTS = [
     (HMC, "leg_gradient_count(cfg.integrator, cfg.n_steps) * cfg.n_samples",
      "leg_gradient_count(cfg.integrator, cfg.n_steps) * (cfg.n_samples - 1)",
      "a chain bills one leg too few"),
-    (TUNING, "max_eval = 2 * max_iter", "max_eval = 2 * max_iter + 1",
-     "the simplex runs one evaluation past SciPy's cap"),
+    (TUNING, "for _ in range(1, max_iter):", "for _ in range(max_iter):",
+     "the simplex runs one iteration past SciPy's cap"),
     (CLI, "results = continuation_sweep(opts[\"h\"], seed_params)",
      "results = [continuation_sweep([h], seed_params)[0] for h in opts[\"h\"]]",
      "tune seeds every budget from the row, not from the previous optimum"),
     (CLI, "leg_gradient_count(rowlands, n_cost)}", "leg_gradient_count(rowlands, n_cost - 1)}",
      "rowlands-order's cost line bills a leg one step short"),
+    (CATALOG, "return 0.98 * VERLET_STABILITY", "return 0.97 * VERLET_STABILITY",
+     "rho-scan's default leapfrog budget at 0.97 of the stability length"),
+    (SPLITTING, "if not (h > 0.0 and math.isfinite(h)):", "if not (h >= 0.0 and math.isfinite(h)):",
+     "integrate_leg accepts a zero step"),
+    (CLI, "os.path.isdir(folder) and os.access(", "os.path.isdir(folder) or os.access(",
+     "--out accepts any existing directory, writable or not"),
+    (SPLITTING, "if q.ndim != 1 or p.ndim != 1:", "if q.ndim != 1 and p.ndim != 1:",
+     "PhaseState takes a one-dimensional q with a two-dimensional p"),
 ]
 
 

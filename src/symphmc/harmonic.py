@@ -88,7 +88,7 @@ def _first_instability(kernel: FlowSchedule) -> Optional[tuple[float, float]]:
         stop = min(start + chunk, n_total + 1)
         hs = np.arange(start, stop, dtype=float) * SCAN_STEP
         stable = _is_stable(*schedule_matrix(kernel, hs)[1:3])
-        if stable.all():
+        if np.all(stable):  # a bool, not an array, for an empty kernel
             prev_stable = float(hs[-1])
             continue
         idx = int(np.argmin(stable))
@@ -139,7 +139,7 @@ def rho(integ: ProcessedIntegrator, h: Union[float, np.ndarray]) -> Union[float,
     # Where the kernel is unstable, k12 and k21 are 0 or share a sign, so
     # k12 / -k21 is negative, +-0, +-inf or NaN and value is NaN or +inf.
     value = np.fmin(value, math.inf)  # NaN reads +inf, every other value stays
-    return value if isinstance(h, np.ndarray) else float(value)
+    return value if np.ndim(h) else float(value)
 
 
 def _series_matrix(schedule: FlowSchedule) -> np.ndarray:

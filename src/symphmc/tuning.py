@@ -4,7 +4,8 @@ The objective is the exact maximum of rho over (0, hbar], taken at hbar or
 at a critical point of rho (no grid, no smoothed surrogate), minimized over
 (b, c, d) with a Nelder-Mead simplex seeded at the caller's initial point.
 The simplex is this module's own and takes the steps of SciPy's non-adaptive
-Nelder-Mead, so its iterates are SciPy's bit for bit.  Unstable or
+Nelder-Mead, so its iterates are SciPy's bit for bit when SciPy is given
+`maxiter` alone (its evaluation count then unbounded).  Unstable or
 degenerate parameter sets evaluate to +inf, which keeps the objective
 totally ordered.
 """
@@ -42,10 +43,6 @@ def evaluate(b: float, c: float, d: float, hbar: float) -> float:
     return rho_norm(processed_family(b, c, d), hbar)
 
 
-class _EvalCap(Exception):
-    pass
-
-
 def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(fsim)
     return np.take(sim, order, 0), np.take(fsim, order, 0)
@@ -58,62 +55,40 @@ def _nelder_mead(f: Callable[[np.ndarray], float], simplex: np.ndarray, max_iter
     The steps of SciPy's minimize(method="Nelder-Mead") without `adaptive`
     (Nelder & Mead, Comput. J. 7, 1965): reflect 1, expand 2,
     outside and inside contraction 1/2, shrink 1/2; the same ordering, the
-    same XATOL/FATOL stopping test, at most max_iter - 1 iterations and at
-    most 2 * max_iter evaluations.  The evaluation cap is checked before
-    every call, and reaching it ends the iteration under way.
+    same XATOL/FATOL stopping test and at most max_iter - 1 iterations.
     """
-    max_eval = 2 * max_iter
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
-    fsim = np.full(n + 1, np.inf)
-    calls = 0
-
-    def call(x: np.ndarray) -> float:
-        nonlocal calls
-        if calls >= max_eval:
-            raise _EvalCap
-        calls += 1
-        return f(x)
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = call(sim[k])
-    except _EvalCap:
-        pass
+    fsim = np.array([f(x) for x in sim])
     sim, fsim = _sorted(*_sorted(sim, fsim))  # SciPy sorts twice before the first iteration
 
-    iterations = 1
-    while calls < max_eval and iterations < max_iter:
-        try:
-            if np.max(np.abs(sim[1:] - sim[0])) <= XATOL and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL:
-                break
-            xbar = sim[:-1].sum(axis=0) / n
-            xr = 2.0 * xbar - sim[-1]
-            fxr = call(xr)
-            if fxr < fsim[0]:
-                xe = 3.0 * xbar - 2.0 * sim[-1]
-                fxe = call(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+    for _ in range(1, max_iter):
+        if np.max(np.abs(sim[1:] - sim[0])) <= XATOL and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL:
+            break
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = 2.0 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3.0 * xbar - 2.0 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
             else:
-                if fxr < fsim[-1]:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = call(xc)
-                    accept = fxc <= fxr
-                else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = call(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = call(sim[j])
-            iterations += 1
-        except _EvalCap:
-            pass
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
         sim, fsim = _sorted(sim, fsim)
     return sim[0], float(np.min(fsim))
 
@@ -124,8 +99,8 @@ def tune(hbar: float, init: Sequence[float], restarts: int = 2, max_iter: int = 
     Runs the in-repo Nelder-Mead simplex (SciPy's non-adaptive steps) with
     initial size 1e-2 per coordinate, then the given number of deterministic
     restarts from the incumbent with a tenfold smaller simplex, each capped
-    at max_iter iterations and 2 * max_iter evaluations.  Never returns an
-    objective worse than the seed's.
+    at max_iter iterations.  Never returns an objective worse than the
+    seed's.
 
     The result's `trace` is a read-only float64 array of shape
     (evaluations, 4), one row per objective evaluation in the order made

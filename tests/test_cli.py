@@ -141,18 +141,19 @@ class TestSweep:
         assert run_cli(["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1,abc"]) == 2
 
     def test_unwritable_output_reports_path(self, tmp_path, monkeypatch, capsys):
-        # every command that takes --out rejects an empty path, a directory
-        # and a missing directory before any of its work runs
+        # every command that takes --out rejects an empty path, a directory,
+        # a missing directory and an unwritable one before any of its work runs
         def work(*args, **kwargs):
             raise AssertionError("the command ran before --out was checked")
 
         for name in ("efficiency_curve", "continuation_sweep", "rho", "rho_norm", "stability_length"):
             monkeypatch.setattr(cli, name, work)
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)  # every existing directory is read-only
         commands = [["table2"], ["stability"], ["sweep", "--integrator", "leapfrog", "--dim", "8", "--h", "0.1"],
                     ["tune", "--integrator", "proc-3.0"], ["rho-scan", "--integrator", "proc-3.0"]]
         assert sorted(c[0] for c in commands) == sorted(c for c, (*_, opts) in COMMANDS.items() if "out" in opts)
         for args in commands:
-            for path in ("", str(tmp_path), str(tmp_path / "missing-dir" / "x.csv")):
+            for path in ("", str(tmp_path), str(tmp_path / "missing-dir" / "x.csv"), str(tmp_path / "x.csv")):
                 assert run_cli(args + ["--out", path]) == 2
                 assert f"--out value {json.dumps(path)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -284,6 +285,10 @@ class TestRhoScan:
         assert rows[-1][0] == 0.98 * 2.0 * math.sqrt(3.0)
         integ = named_integrator("rowlands")
         assert all(value == rho(integ, h) and math.isfinite(value) for h, value in rows)
+
+    def test_leapfrog_default_budget(self, capsys):
+        assert run_cli(["rho-scan", "--integrator", "leapfrog", "--h-grid", "10"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split(",")[0] == _fmt(0.98 * 2.0)
 
     def test_stable_below_product_underflow(self, tmp_path):
         out = tmp_path / "tiny.csv"

@@ -147,9 +147,11 @@ class TestStabilityLength:
         assert abs(kernel_stability(row.name) - row.stability) <= 0.005
 
     def test_unstable_from_start_returns_zero(self):
-        # inconsistent schedule: unstable for every h > 0
-        bad = FlowSchedule((kick(1.0), drift(-1.0), kick(1.0)))
-        assert stability_length(bad) == 0.0
+        # an inconsistent schedule and the empty one are unstable for every
+        # h > 0; the empty schedule's map is the identity, in Python scalars
+        # even for an array of steps
+        for flows in [(kick(1.0), drift(-1.0), kick(1.0)), ()]:
+            assert stability_length(FlowSchedule(flows)) == 0.0
 
 
 class TestLegMatrix:
@@ -378,12 +380,13 @@ class TestArrayRho:
         values = rho(integ, self.STEPS)
         assert isinstance(values, np.ndarray) and values.shape == self.STEPS.shape
         assert hexes(values) == hexes(rho(integ, float(h)) for h in self.STEPS)
+        assert hexes(rho(integ, self.STEPS.tolist())) == hexes(values)  # a list is an array of steps too
         assert np.isinf(values).any() and np.isfinite(values).any()  # unstable steps are covered
         # where the old scalar arithmetic stays finite, it gives the same bits
         finite = self.STEPS < 1e100
         assert hexes(values[finite]) == hexes(scalar_rho(integ, float(h)) for h in self.STEPS[finite])
 
-    @pytest.mark.parametrize("h", [1.0, 2.5, 1e-200])
+    @pytest.mark.parametrize("h", [1.0, 2.5, 1e-200, pytest.param(np.array(2.5), id="0-d-array")])
     def test_scalar_step_gives_a_python_float(self, h):
         assert type(rho(VERLET, h)) is float
         assert type(rho(ROW2, h)) is float

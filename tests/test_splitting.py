@@ -57,8 +57,9 @@ class TestPhaseState:
             PhaseState(np.zeros(3), np.zeros(2))
 
     def test_matrix_input_rejected(self):
-        with pytest.raises(ValueError):
-            PhaseState(np.zeros((2, 2)), np.zeros((2, 2)))
+        for q, p in [(np.zeros((2, 2)), np.zeros((2, 2))), (np.zeros(3), np.zeros((3, 1)))]:
+            with pytest.raises(ValueError, match="^q and p must be one-dimensional$"):
+                PhaseState(q, p)
 
 
 class TestBuildKernel:
@@ -535,8 +536,9 @@ class TestIntegrateLeg:
         s0 = PhaseState([0.1], [0.2])
         with pytest.raises(ValueError):
             integrate_leg(s0, 0.1, 0, integ, tgt)
-        with pytest.raises(ValueError):
-            integrate_leg(s0, -0.1, 3, integ, tgt)
+        for h in (-0.1, 0.0):
+            with pytest.raises(ValueError, match="h must be positive"):
+                integrate_leg(s0, h, 3, integ, tgt)
 
 
 def same_bytes(a_q, a_p, b_q, b_p):
