@@ -97,6 +97,10 @@ MUTANTS = [
      "--out accepts any existing directory, writable or not"),
     (SPLITTING, "if q.ndim != 1 or p.ndim != 1:", "if q.ndim != 1 and p.ndim != 1:",
      "PhaseState takes a one-dimensional q with a two-dimensional p"),
+    (SPLITTING, '                    raise _wrong_shape(target, "gradient", grad, q)\n', "                    pass\n",
+     "a gradient of the wrong shape is broadcast into q"),
+    (HARMONIC, "lo, hi = float(hs[i]), float(hs[i + 1])", "lo, hi = float(hs[i - 1]), float(hs[i])",
+     "the stability bisection starts one grid point below the crossing"),
 ]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Any, NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Union
 
 import numpy as np
 
@@ -79,41 +79,27 @@ def _is_stable(m12, m21):
     return ((m12 < 0.0) & (m21 > 0.0)) | ((m12 > 0.0) & (m21 < 0.0))
 
 
-def _first_instability(kernel: FlowSchedule) -> Optional[tuple[float, float]]:
-    """(last stable h, first unstable h) of the scan grid, or None if stable throughout."""
-    chunk = 5000
-    prev_stable = 0.0
-    n_total = int(round(1000.0 / SCAN_STEP))  # h up to 1000
-    for start in range(1, n_total + 1, chunk):
-        stop = min(start + chunk, n_total + 1)
-        hs = np.arange(start, stop, dtype=float) * SCAN_STEP
-        stable = _is_stable(*schedule_matrix(kernel, hs)[1:3])
-        if np.all(stable):  # a bool, not an array, for an empty kernel
-            prev_stable = float(hs[-1])
-            continue
-        idx = int(np.argmin(stable))
-        lo = float(hs[idx - 1]) if idx > 0 else prev_stable
-        return lo, float(hs[idx])
-    return None
-
-
 def stability_length(kernel: FlowSchedule) -> float:
     """Supremum h_s of step sizes below which the kernel map stays power
     bounded: scan in steps of SCAN_STEP, then bisect the first crossing
     down to absolute tolerance STABILITY_TOL."""
-    bracket = _first_instability(kernel)
-    if bracket is None:
-        return math.inf
-    lo, hi = bracket
-    while hi - lo > STABILITY_TOL:
-        mid = 0.5 * (lo + hi)
-        if _is_stable(*schedule_matrix(kernel, mid)[1:3]):
-            lo = mid
-        else:
-            hi = mid
-    if hi <= STABILITY_TOL:
-        return 0.0
-    return 0.5 * (lo + hi)
+    chunk, n_total = 5000, int(round(1000.0 / SCAN_STEP))  # h up to 1000
+    for start in range(0, n_total, chunk):
+        # hs[0] is the last grid point known to be stable, or h = 0
+        hs = np.arange(start, min(start + chunk, n_total) + 1, dtype=float) * SCAN_STEP
+        stable = _is_stable(*schedule_matrix(kernel, hs[1:])[1:3])
+        if np.all(stable):  # a bool, not an array, for an empty kernel
+            continue
+        i = int(np.argmin(stable))
+        lo, hi = float(hs[i]), float(hs[i + 1])
+        while hi - lo > STABILITY_TOL:
+            mid = 0.5 * (lo + hi)
+            if _is_stable(*schedule_matrix(kernel, mid)[1:3]):
+                lo = mid
+            else:
+                hi = mid
+        return 0.0 if hi <= STABILITY_TOL else 0.5 * (lo + hi)
+    return math.inf
 
 
 def rho(integ: ProcessedIntegrator, h: Union[float, np.ndarray]) -> Union[float, np.ndarray]:

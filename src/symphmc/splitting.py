@@ -149,7 +149,8 @@ class ProcessedIntegrator:
     leg's reversibility and the oscillator analysis's sign test rest on its
     symmetry.  The preprocessor's sums are both 0 (a pure processor) or
     both 1: one kernel step is folded into it, as in
-    kappa = kernel . processor.  A leg of N steps then runs the kernel
+    kappa = kernel . processor.  The attribute `folded`, 0 or 1, counts the
+    kernel steps folded in; a leg of N steps then runs the kernel
     N - 2*folded times and always spans N*h.  Sums are checked relative to
     their terms (_sums_to): large coefficients' rounding is no inconsistency.
     """
@@ -164,20 +165,15 @@ class ProcessedIntegrator:
             raise ValueError("kernel drift coefficients must sum to 1")
         if not _sums_to(self.kernel.weights(False), 1.0):
             raise ValueError("kernel kick weights must sum to 1")
-        self.folded  # raises unless the preprocessor sums are both 0 or both 1
+        terms = (self.pre.weights(True), self.pre.weights(False))
+        folded = next((n for n in (0, 1) if all(_sums_to(t, n) for t in terms)), None)
+        if folded is None:
+            raise ValueError("processor drift and kick-weight sums must both be 0, or both be 1")
+        object.__setattr__(self, "folded", folded)
 
     @cached_property
     def post(self) -> FlowSchedule:
         return self.pre.adjoint()
-
-    @cached_property
-    def folded(self) -> int:
-        """Kernel steps folded into the preprocessor, 0 or 1, read off its sums."""
-        terms = (self.pre.weights(True), self.pre.weights(False))
-        for folded in (0, 1):
-            if all(_sums_to(t, folded) for t in terms):
-                return folded
-        raise ValueError("processor drift and kick-weight sums must both be 0, or both be 1")
 
     def kernel_steps(self, n_steps: int) -> int:
         """Kernel steps in a leg of N steps: N - 2*folded.  N is an integer
@@ -225,6 +221,10 @@ def _lower(flows: Iterable[ElementaryFlow], h: float) -> tuple[tuple[bool, float
     return tuple(lowered)
 
 
+def _wrong_shape(target: "TargetModel", hook: str, value: np.ndarray, q: np.ndarray) -> ValueError:
+    return ValueError(f"{type(target).__name__}.{hook} returned shape {value.shape}, not q's shape {q.shape}")
+
+
 def _run_flows(
     q: np.ndarray,
     p: np.ndarray,
@@ -239,7 +239,8 @@ def _run_flows(
     a drift invalidates them.  A kick equal to the previous kick, with no
     drift between, subtracts the scaled force still in the buffer.
     Finiteness is checked once, at the end: no flow turns a non-finite
-    entry finite again.
+    entry finite again.  A fresh gradient or Hessian-vector product whose
+    shape is not q's is a ValueError, where broadcasting would run on.
     """
     q, p = q.copy(), p.copy()
     scaled = np.empty_like(q)
@@ -255,10 +256,14 @@ def _run_flows(
         if step != last_kick:
             if grad is None:
                 grad = target.gradient(q)
+                if grad.shape != q.shape:
+                    raise _wrong_shape(target, "gradient", grad, q)
             force = grad if b_mod == 1.0 else b_mod * grad  # a multiply by 1 costs an array pass
             if c2h2 is not None:
                 if hvp is None:
                     hvp = target.hessian_vec(q, grad)
+                    if hvp.shape != q.shape:
+                        raise _wrong_shape(target, "hessian_vec", hvp, q)
                 force = force - c2h2 * hvp
             np.multiply(force, ch, out=scaled)
             last_kick = step

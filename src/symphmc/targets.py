@@ -25,10 +25,11 @@ class TargetModel:
     and ``gradient`` directly.  Modified kicks (``rowlands``) also need
     ``_hessian_vec``, which drift/kick integrators never call.
 
-    The leg executor never writes into an array that ``gradient`` or
-    ``hessian_vec`` returns, so a hook may return its argument itself.  It
-    does move its ``q`` in place between calls, so a target must not keep a
-    reference to the ``q`` it was given.
+    ``gradient`` and ``hessian_vec`` return arrays of q's shape; the leg
+    executor raises a ValueError for any other shape.  It never writes into
+    an array that either returns, so a hook may return its argument itself.
+    It does move its ``q`` in place between calls, so a target must not keep
+    a reference to the ``q`` it was given.
     """
 
     def __init__(self, dim: int):

@@ -153,6 +153,24 @@ class TestStabilityLength:
         for flows in [(kick(1.0), drift(-1.0), kick(1.0)), ()]:
             assert stability_length(FlowSchedule(flows)) == 0.0
 
+    def test_named_kernel_bits(self):
+        # the sweep's default step grid is built from these exact values
+        pinned = ["0x1.fffff7ced9168p+0", "0x1.2a5bac083126ep+2", "0x1.3f0ec28f5c290p+2", "0x1.40a6439581062p+2",
+                  "0x1.431751eb851ecp+2", "0x1.4618cac083126p+2", "0x1.bb67b22d0e560p+1"]
+        assert [kernel_stability(name).hex() for name in INTEGRATOR_NAMES] == pinned
+
+    @pytest.mark.parametrize("h_s", [5.0005, 200.0])
+    def test_crossing_past_the_first_scan_chunk(self, h_s):
+        # leapfrog with every coefficient scaled by 2/h_s is stable for h < h_s;
+        # 5.0005 puts the first unstable grid point first in the second chunk
+        c = 2.0 / h_s
+        kernel = FlowSchedule((kick(0.5 * c), drift(c), kick(0.5 * c)))
+        assert abs(stability_length(kernel) - h_s) <= 1e-6
+
+    def test_stable_over_the_whole_scan_is_infinite(self):
+        kernel = FlowSchedule((kick(5e-4), drift(1e-3), kick(5e-4)))  # stable for h < 2000
+        assert stability_length(kernel) == math.inf
+
 
 class TestLegMatrix:
     def test_identity_processor_reduces_to_kernel_power(self):

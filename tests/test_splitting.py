@@ -541,6 +541,47 @@ class TestIntegrateLeg:
                 integrate_leg(s0, h, 3, integ, tgt)
 
 
+class WrongShape(TargetModel):
+    """V = |q|^2/2 whose gradient, or only whose Hessian-vector product,
+    comes back summed to shape (1,): numpy would broadcast either into q."""
+
+    def __init__(self, dim, bad_hook):
+        super().__init__(dim)
+        self.bad_hook = bad_hook
+
+    def _potential(self, q):
+        return 0.5 * float(q @ q)
+
+    def _gradient(self, q):
+        return q[:1] + q[1:].sum() if self.bad_hook == "gradient" else q.copy()
+
+    def _hessian_vec(self, q, v):
+        return v[:1] + v[1:].sum() if self.bad_hook == "hessian_vec" else v.copy()
+
+
+class TestHookShapes:
+    """A gradient or Hessian-vector product of the wrong shape is an error, not a broadcast."""
+
+    @pytest.mark.parametrize("name, hook", [("leapfrog", "gradient"), ("proc-3.0", "gradient"),
+                                            ("rowlands", "gradient"), ("rowlands", "hessian_vec")])
+    def test_integrate_leg_raises(self, name, hook):
+        s0 = PhaseState(np.array([0.3, -0.2, 0.1]), np.array([0.1, 0.4, -0.5]))
+        message = rf"WrongShape\.{hook} returned shape \(1,\), not q's shape \(3,\)"
+        with pytest.raises(ValueError, match=message):
+            integrate_leg(s0, 0.1, 4, named_integrator(name), WrongShape(3, hook))
+
+    @pytest.mark.parametrize("name, hook", [("leapfrog", "gradient"), ("rowlands", "hessian_vec")])
+    def test_generic_chain_raises(self, name, hook):
+        cfg = HmcConfig(h=0.1, n_samples=3, seed=1, integrator=named_integrator(name), leg_time=0.5)
+        with pytest.raises(ValueError, match=rf"WrongShape\.{hook} returned shape \(1,\)"):
+            hmc_run(WrongShape(3, hook), cfg, use_fast_path=False)
+
+    def test_right_shapes_run(self):
+        s0 = PhaseState(np.array([0.3, -0.2, 0.1]), np.array([0.1, 0.4, -0.5]))
+        out = integrate_leg(s0, 0.1, 4, named_integrator("rowlands"), WrongShape(3, None))
+        assert out.q.shape == (3,) and np.isfinite(out.q).all()
+
+
 def same_bytes(a_q, a_p, b_q, b_p):
     return a_q.tobytes() == b_q.tobytes() and a_p.tobytes() == b_p.tobytes()
 
