@@ -101,6 +101,25 @@ MUTANTS = [
      "a gradient of the wrong shape is broadcast into q"),
     (HARMONIC, "lo, hi = float(hs[i]), float(hs[i + 1])", "lo, hi = float(hs[i - 1]), float(hs[i])",
      "the stability bisection starts one grid point below the crossing"),
+    (HARMONIC, "n = integ.kernel_steps(n_steps)", "n = n_steps",
+     "the fast path's leg map runs N kernel steps where a folded leg runs N - 2"),
+    (SPLITTING, "if not (type(self.coefficient) is type(self.b_mod) is type(self.c_mod) is float):", "if False:",
+     "a flow keeps an int, numpy or Fraction weight instead of its float"),
+    (SPLITTING, 'raise ValueError("kernel kick weights must sum to 1")', "pass",
+     "a kernel whose kick weights miss 1 builds"),
+    (CLI, 'raise ValueError("this command takes a single --h value")', "pass",
+     "a single-step command runs the first of several --h values"),
+    (CLI, 'raise ValueError(f"cannot write {out!r}: {exc}") from exc', "pass",
+     "a failed --out write exits 0"),
+    (TARGETS, "    def _potential(self, q: np.ndarray) -> float:\n        raise NotImplementedError\n",
+     "    def _potential(self, q: np.ndarray) -> float:\n        return 0.0\n",
+     "the base class's potential reads 0 instead of raising"),
+    (TARGETS, "    def _gradient(self, q: np.ndarray) -> np.ndarray:\n        raise NotImplementedError\n",
+     "    def _gradient(self, q: np.ndarray) -> np.ndarray:\n        return np.zeros_like(q)\n",
+     "the base class's gradient reads 0 instead of raising"),
+    (TUNING, "        except DegenerateParameter:\n            value = math.inf\n",
+     "        except DegenerateParameter:\n            value = 0.0\n",
+     "a simplex vertex on 6b - 1 = 0 reads 0, not inf"),
 ]
 
 

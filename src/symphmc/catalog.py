@@ -65,7 +65,7 @@ def row_by_name(name: str) -> ReferenceRow:
     raise ValueError(f"no reference row named {name!r} (choose from {', '.join(r.name for r in REFERENCE_ROWS)})")
 
 
-_KERNEL_KICK = modified_kick(1.0, float(KERNEL_KICK_B), float(KERNEL_KICK_C))
+_KERNEL_KICK = modified_kick(1.0, KERNEL_KICK_B, KERNEL_KICK_C)
 _INTEGRATORS = {
     "leapfrog": ProcessedIntegrator(FlowSchedule((kick(0.5), drift(1.0), kick(0.5))), FlowSchedule()),
     **{row.name: processed_family(row.b, row.c, row.d) for row in REFERENCE_ROWS},
@@ -74,10 +74,10 @@ _INTEGRATORS = {
         FlowSchedule((_KERNEL_KICK, drift(1.0), _KERNEL_KICK)),
         FlowSchedule(
             (
-                modified_kick(1.0, float(KAPPA_BETA_1), float(KAPPA_GAMMA_1)),
-                drift(float(KAPPA_ALPHA_1)),
-                kick(float(KAPPA_BETA_2)),
-                drift(float(KAPPA_ALPHA_2)),
+                modified_kick(1.0, KAPPA_BETA_1, KAPPA_GAMMA_1),
+                drift(KAPPA_ALPHA_1),
+                kick(KAPPA_BETA_2),
+                drift(KAPPA_ALPHA_2),
             )
         ),
     ),

@@ -39,18 +39,6 @@ class TransferMatrix(NamedTuple):
             self.m21 * other.m12 + self.m22 * other.m22,
         )
 
-    def power(self, n: int) -> "TransferMatrix":
-        """self^n (n >= 0) by repeated squaring."""
-        one, zero = np.ones_like(self.m11), np.zeros_like(self.m11)
-        result = TransferMatrix(one, zero, zero, one)
-        base = self
-        while n:
-            if n & 1:
-                result = base @ result
-            base = base @ base
-            n >>= 1
-        return result
-
 
 def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> TransferMatrix:
     """Ordered product of the flow shears, in the order the flows act; h may
@@ -67,6 +55,20 @@ def schedule_matrix(schedule: FlowSchedule, h: Union[float, np.ndarray]) -> Tran
         m21 = m21 - c * m11
         m22 = m22 - c * m12
     return TransferMatrix(m11, m12, m21, m22)
+
+
+def _leg_map(integ: ProcessedIntegrator, x: Union[float, np.ndarray], n_steps: int) -> TransferMatrix:
+    """Per-mode map of a leg of N steps at scaled steps x = h*omega: pre, the kernel
+    to the power N - 2*folded by repeated squaring, post; overflow reads inf or NaN."""
+    n = integ.kernel_steps(n_steps)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        base, kernel_n = schedule_matrix(integ.kernel, x), TransferMatrix(1.0, 0.0, 0.0, 1.0)
+        while n:
+            if n & 1:
+                kernel_n = base @ kernel_n
+            base = base @ base
+            n >>= 1
+        return schedule_matrix(integ.post, x) @ (kernel_n @ schedule_matrix(integ.pre, x))
 
 
 def _is_stable(m12, m21):

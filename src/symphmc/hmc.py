@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientSteps, NonFiniteState
-from .harmonic import schedule_matrix
+from .harmonic import _leg_map
 from .splitting import PhaseState, ProcessedIntegrator, integrate_leg, leg_gradient_count, whole
 from .targets import GaussianModel, TargetModel
 
@@ -175,14 +175,7 @@ def _run_generic(tgt: TargetModel, cfg: HmcConfig, rng: np.random.Generator, q0:
 
 
 def _run_fast(tgt: GaussianModel, cfg: HmcConfig, rng: np.random.Generator, q0: np.ndarray, positions: bool):
-    integ, n_steps = cfg.integrator, cfg.n_steps
-    x = cfg.h * tgt.frequencies  # per-mode step on the unit oscillator
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kernel_n = schedule_matrix(integ.kernel, x).power(integ.kernel_steps(n_steps))
-        pre = schedule_matrix(integ.pre, x)
-        post = schedule_matrix(integ.post, x)
-        l11, l12, l21, l22 = post @ (kernel_n @ pre)
+    l11, l12, l21, l22 = _leg_map(cfg.integrator, cfg.h * tgt.frequencies, cfg.n_steps)  # steps h*omega per mode
 
     def propose(q: np.ndarray, p: np.ndarray):
         h_current = 0.5 * (q @ q + p @ p)

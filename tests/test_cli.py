@@ -158,6 +158,17 @@ class TestSweep:
                 assert f"--out value {json.dumps(path)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_write_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # --out passes its check, then the write itself fails
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        path = str(tmp_path / "x.txt")
+        assert run_cli(["stability", "--out", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot write {path!r}: [Errno 28] No space left on device\n"
+
     def test_samples_flag_restores_long_chains(self, tmp_path):
         base = ["sweep", "--integrator", "leapfrog", "--dim", "2048",
                 "--h", "0.0002", "--seed", "1"]
@@ -439,6 +450,8 @@ SWEEP_LEAPFROG = ["sweep", "--integrator", "leapfrog", "--dim", "8", "--samples"
         SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "nan"],
         SWEEP_LEAPFROG + ["--h", "0.1", "--leg-time", "inf"],
         ["rowlands-order", "--h", "0.3"],
+        ["rowlands-order", "--h", "0.25,0.5"],
+        ["rho-scan", "--integrator", "proc-3.0", "--h", "1,2"],
         ["tune", "--integrator", "proc-3.0", "--h", "-1"],
         # tune's budgets must increase strictly
         ["tune", "--integrator", "proc-3.0", "--h", "3.5,3.0"],
@@ -453,7 +466,7 @@ SWEEP_LEAPFROG = ["sweep", "--integrator", "leapfrog", "--dim", "8", "--samples"
         ["sweep", "--integrator", "proc-3.0", "--dim", "4", "--samples", "5", "--leg-time", "1e308", "--h", "1e-10"],
     ],
     ids=["dim-0", "dim-abc", "dim-float", "samples-float", "seed-float", "samples-0", "h-negative", "h-nan", "h-empty", "h-comma", "leg-time-0", "leg-time-nan", "leg-time-inf",
-         "rowlands-order-h", "tune-h-negative", "tune-h-decreasing", "tune-h-repeated", "sweep-h-grid-0", "rho-scan-h-grid-0", "rho-scan-h-negative",
+         "rowlands-order-h", "rowlands-order-h-list", "rho-scan-h-list", "tune-h-negative", "tune-h-decreasing", "tune-h-repeated", "sweep-h-grid-0", "rho-scan-h-grid-0", "rho-scan-h-negative",
          "rowlands-order-leg-time-1e308", "rowlands-order-h-1e-320", "sweep-h-1e-320", "sweep-leg-time-1e308"],
 )
 def test_invalid_values_are_usage_errors(argv, capsys):

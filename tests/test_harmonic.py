@@ -17,7 +17,7 @@ from symphmc import (
     stability_length,
 )
 from symphmc.catalog import INTEGRATOR_NAMES, REFERENCE_ROWS, named_integrator, row_by_name
-from symphmc.harmonic import _is_stable, _rho_profile, _roots, _series_matrix
+from symphmc.harmonic import _is_stable, _leg_map, _rho_profile, _roots, _series_matrix
 from symphmc.splitting import processed_family
 from symphmc.tuning import tune
 
@@ -86,11 +86,15 @@ class TestScheduleMatrix:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
     def test_power_matches_repeated_product(self, n):
-        k = schedule_matrix(ROW2.kernel, np.array([0.3, 1.1, 2.9]))
-        expected = TransferMatrix(1.0, 0.0, 0.0, 1.0)
+        # n kernel steps; 0 only in a folded leg of N = 2
+        integ = named_integrator("rowlands") if n == 0 else ROW2
+        x = np.array([0.3, 1.1, 2.9])
+        k = schedule_matrix(integ.kernel, x)
+        expected = schedule_matrix(integ.pre, x)
         for _ in range(n):
             expected = k @ expected
-        for got, want in zip(k.power(n), expected):
+        expected = schedule_matrix(integ.post, x) @ expected
+        for got, want in zip(_leg_map(integ, x, n + 2 * integ.folded), expected):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_processor_parity(self):

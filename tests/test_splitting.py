@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,12 @@ class TestBuildKernel:
             modified_kick(0.5, 1.0, 1e308)
         with pytest.raises(TypeError):
             FlowSchedule((1.0, 2.0))
+        # an int, a numpy scalar or a Fraction weight is stored as the Python float of its input
+        cases = ((drift, (1,)), (kick, (np.float64(0.5),)), (modified_kick, (1, Fraction(1, 2), Fraction(1, 48))))
+        for make, args in cases:
+            flow = make(*args)
+            weights = (flow.coefficient, flow.b_mod, flow.c_mod)[: len(args)]
+            assert [type(w) for w in weights] == [float] * len(args) and weights == tuple(map(float, args))
 
     @given(st.floats(min_value=0.2, max_value=0.49))
     def test_consistency_sums(self, b):
@@ -193,6 +200,8 @@ class TestProcessedIntegrator:
         # a miss of 1e-9 is no rounding: the sums are held to 1e-14
         with pytest.raises(ValueError, match="drift coefficients must sum to 1"):
             ProcessedIntegrator(FlowSchedule((kick(0.5), drift(1.0 + 1e-9), kick(0.5))), FlowSchedule())
+        with pytest.raises(ValueError, match="kernel kick weights must sum to 1"):
+            ProcessedIntegrator(FlowSchedule((kick(0.3), drift(1.0), kick(0.3))), FlowSchedule())
 
     def test_non_palindromic_kernel_rejected(self):
         # symplectic Euler has consistent sums but no time symmetry: at h=2.5

@@ -106,6 +106,10 @@ class TestHessianContract:
         cfg = HmcConfig(h=0.25, n_samples=20, seed=3, integrator=named_integrator("rowlands"), leg_time=2.0)
         with pytest.raises(NotImplementedError, match="_hessian_vec"):
             hmc_run(GradientOnly(3), cfg)
+        # the base class has no potential or gradient either
+        for hook in (TargetModel(2).potential, TargetModel(2).gradient):
+            with pytest.raises(NotImplementedError):
+                hook(np.zeros(2))
 
 
 class TestCounters:

@@ -126,6 +126,13 @@ class TestTune:
         with pytest.raises(NoDescent):
             tune(1000.0, ROW2_SEED)
 
+    def test_a_vertex_on_the_singular_surface_reads_inf(self):
+        # simplex vertex 1 is b + 1e-2 = 1/6 exactly, where 6b - 1 == 0: the kernel does not build
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = tune(0.5, (0.15666666666666665, 0.0, 0.0), restarts=0, max_iter=5)
+        assert tuple(result.trace[1]) == (1.0 / 6.0, 0.0, 0.0, math.inf)
+
 
 class TestContinuation:
     def test_monotone_budgets_required(self):
